@@ -114,18 +114,19 @@ let jobs_arg =
                (default: the recommended domain count). The mined set is \
                identical for any N.")
 
-(* --cache DIR persists per-workload engine snapshots (and, for the full
-   corpus, the whole mining summary) so warm re-runs skip tracing;
-   --no-cache is the escape hatch when the directory is inherited from
-   the environment or a wrapper script. *)
+(* --cache DIR persists per-workload engine snapshots (and, for a full
+   corpus or lake mine, the whole result beside its engine) so warm
+   re-runs skip tracing; --no-cache is the escape hatch when the
+   directory is inherited from the environment or a wrapper script. *)
 let cache_term =
   let cache =
     Arg.(value & opt (some string) None
          & info [ "cache" ] ~docv:"DIR"
-           ~doc:"Reuse per-workload engine snapshots under $(docv): cache \
-                 hits skip tracing entirely; stale or damaged entries are \
-                 rejected and re-mined. Results are bit-identical to an \
-                 uncached run. See DESIGN.md for the snapshot format.")
+           ~doc:"Reuse per-workload engine snapshots and whole mining \
+                 results under $(docv): cache hits skip tracing and lake \
+                 replay entirely; stale or damaged entries are rejected \
+                 and re-mined. Results are bit-identical to an uncached \
+                 run. See DESIGN.md for the snapshot format.")
   in
   let no_cache =
     Arg.(value & flag

@@ -93,7 +93,18 @@ dune exec bin/scifinder.exe -- trace pi --limit 0 --record-out /tmp/scif_lake/pi
 grep -q 'recorded 477 records to /tmp/scif_lake/pi.seg' /tmp/lakecli.out
 dune exec bin/scifinder.exe -- mine --from-lake /tmp/scif_lake -j 4 --limit 1 | tee /tmp/lakemine.out
 grep -q 'lake: 477 records from 1 segments' /tmp/lakemine.out
-rm -rf /tmp/scif_lake
+# The same lake through the mining cache at -j 1, twice: the cold run
+# writes the whole-result entry, the warm run adopts it, and both must
+# print the same lake line.
+rm -rf /tmp/scif_lakecache
+for run in cold warm; do
+  dune exec bin/scifinder.exe -- mine --from-lake /tmp/scif_lake -j 1 \
+    --cache /tmp/scif_lakecache --limit 1 | tee /tmp/lakemine_$run.out
+  grep -q 'lake: 477 records from 1 segments' /tmp/lakemine_$run.out
+done
+ls /tmp/scif_lakecache/mine-*.summary /tmp/scif_lakecache/mine-*.snap
+test "$(grep '^lake:' /tmp/lakemine_cold.out)" = "$(grep '^lake:' /tmp/lakemine_warm.out)"
+rm -rf /tmp/scif_lake /tmp/scif_lakecache
 # Servebench gate: hundreds of concurrent synthetic clients against the
 # in-process mining service must sustain >= 0.8x the direct batch mining
 # throughput on the same worker count, record a p99 job latency, answer

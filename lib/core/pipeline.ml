@@ -44,83 +44,6 @@ let publish_engine_stats engine =
        set "dead" (fs.born - fs.live))
     (Daikon.Engine.candidate_stats engine)
 
-(* ---- Snapshot cache (warm-restart mining) ----
-
-   Two levels, both living under the caller-supplied cache directory:
-
-     <dir>/<workload>.snap        one Daikon engine shard per workload
-     <dir>/mine-<key16>.summary   the full corpus-level mining result
-
-   Every entry embeds a cache key — a digest over the codec version, the
-   config fingerprint and everything that determines the traced
-   observations (program image, entry point, tick period) — so a stale
-   entry is positively detected and re-mined rather than silently
-   trusted. Writes are atomic (temp + rename), so a crashed run can
-   never leave a torn entry behind. *)
-
-module Cache = struct
-  let rec mkdir_p dir =
-    if not (Sys.file_exists dir) then begin
-      mkdir_p (Filename.dirname dir);
-      (try Unix.mkdir dir 0o755
-       with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-    end
-
-  (* The shard key pins down the exact byte stream the tracer would
-     produce plus how the engine would digest it: codec version, config
-     fingerprint, and the workload's name, entry, tick period and full
-     program image. A provenance-mining run additionally folds in a
-     marker, so it never silently adopts a provenance-free snapshot
-     (whose death records would be missing) and vice versa. *)
-  let shard_key ~provenance config (w : Workloads.Rt.t) =
-    let b = Buffer.create 4096 in
-    Buffer.add_string b
-      (Printf.sprintf "scifinder-shard/%d\n" Daikon.Engine.codec_version);
-    if provenance then Buffer.add_string b "provenance\n";
-    Buffer.add_string b (Daikon.Config.canonical_string config);
-    Buffer.add_string b
-      (Printf.sprintf "\n%s entry=%d tick=%d\n" w.name w.entry w.tick_period);
-    List.iter
-      (fun (addr, word) -> Buffer.add_string b (Printf.sprintf "%x:%x;" addr word))
-      w.image;
-    Digest.to_hex (Digest.string (Buffer.contents b))
-
-  (* Registered and fuzz-generated workload names are arbitrary strings;
-     percent-encoding pins each one to a single component of [dir] (a
-     name with '/' or '..' used to escape the cache directory
-     entirely). *)
-  let shard_path dir name =
-    Filename.concat dir (Util.Fsname.encode name ^ ".snap")
-
-  (* None means miss or stale — either way the caller re-traces and
-     overwrites. Distinguishing the two only matters for telemetry. *)
-  let load_shard ~config ~provenance dir (w : Workloads.Rt.t) =
-    let path = shard_path dir w.name in
-    if not (Sys.file_exists path) then begin
-      Obs.Metrics.incr c_cache_miss;
-      None
-    end
-    else
-      match
-        Daikon.Engine.load ~key:(shard_key ~provenance config w) ~config path
-      with
-      | engine ->
-        Obs.Metrics.incr c_cache_hit;
-        Some engine
-      | exception Daikon.Engine.Stale_snapshot _
-      | exception Daikon.Engine.Corrupt_snapshot _ ->
-        Obs.Metrics.incr c_cache_stale;
-        None
-      | exception Sys_error _ ->
-        Obs.Metrics.incr c_cache_miss;
-        None
-
-  let save_shard ~config ~provenance dir (w : Workloads.Rt.t) engine =
-    mkdir_p dir;
-    Daikon.Engine.save ~key:(shard_key ~provenance config w) engine
-      (shard_path dir w.name)
-end
-
 (* ---- Phase 1: invariant generation (§3.1, Figure 3, Table 8) ---- *)
 
 type figure3_row = {
@@ -172,105 +95,84 @@ let resolve_exn ~workloads name =
   | Some w -> w
   | None -> invalid_arg ("Pipeline.mine: unknown workload " ^ name)
 
-let trace_workload_into engine (w : Workloads.Rt.t) =
-  (* Name the workload for death attribution (no-op without provenance). *)
-  Daikon.Engine.set_workload engine w.Workloads.Rt.name;
-  (* One span per workload shard, whichever domain it traces on. *)
-  Obs.Span.with_ ~name:"mine.shard"
-    ~attrs:[ ("workload", Obs.Sink.S w.Workloads.Rt.name) ]
-    (fun () ->
-       ignore
-         (Trace.Runner.stream ~tick_period:w.Workloads.Rt.tick_period
-            ~entry:w.Workloads.Rt.entry
-            ~observer:(Daikon.Engine.observe engine)
-            w.Workloads.Rt.image))
+(* ---- Record sources ----
 
-(* One workload shard: a cache hit deserialises the engine and skips
-   tracing entirely; a miss (or stale/corrupt entry) traces and then
-   persists the shard BEFORE the caller merges it — [merge_into] adopts
-   shard state by reference, so saving after the merge would snapshot a
-   consumed engine. *)
-let mine_shard ~config ~provenance ~cache_dir (w : Workloads.Rt.t) =
-  match cache_dir with
-  | None ->
-    let shard = Daikon.Engine.create ~config ~provenance () in
-    trace_workload_into shard w;
-    shard
-  | Some dir ->
-    (match Cache.load_shard ~config ~provenance dir w with
-     | Some shard -> shard
-     | None ->
-       let shard = Daikon.Engine.create ~config ~provenance () in
-       trace_workload_into shard w;
-       Cache.save_shard ~config ~provenance dir w shard;
-       shard)
+   Phase 1 is one fold: fused records through the Daikon engine, with a
+   Figure 3 snapshot after each group of programs. A source is one
+   stretch of that record stream — a workload simulated live, or a span
+   of one lake segment's blocks replayed from disk — and carries a
+   content digest, the cache-key material. *)
 
-(* Trace every named workload into a private shard engine on a bounded
-   pool of domains. Shards come back in corpus order, so the caller's
-   merge order — and therefore every extracted invariant set — is
-   deterministic regardless of how the domains interleaved or which
-   shards came from the cache. *)
-let mine_shards ~config ~provenance ~jobs ~cache_dir ws =
-  (* Capture the submitting span (pipeline.mine) here and re-install it
-     around each task, so shard spans parent correctly even when they
-     close on a pool domain whose own span stack is empty. *)
-  let parent = Obs.Span.current () in
-  Util.Parallel.map
-    ~wrap:(fun th -> Obs.Span.with_context parent th)
-    ~jobs (mine_shard ~config ~provenance ~cache_dir) ws
+module Source = struct
+  type t =
+    | Workload of Workloads.Rt.t
+    | Span of Trace.Segment.span
 
-(* ---- Corpus-level summary cache ----
+  (* A simulated workload's trace bytes: its records' in-memory size. *)
+  let record_bytes records = records * Trace.Var.total * 8
 
-   A warm [mine] over an unchanged corpus should not pay for merging and
-   re-extracting invariants either, so the full mining result (Figure 3
-   rows, coverage, and the invariant set in the {!Invariant.Io} text
-   grammar) is persisted alongside the shards. The key folds in every
-   shard key in corpus order plus the group structure and labels, so any
-   change to config, codec, images, grouping or labelling misses. *)
+  (* Everything that determines the records: a workload's name, entry
+     point, tick period and full program image; a span's block digests,
+     read from the frame headers without decoding a payload. Block
+     digests are fixed-width, so the digests of a segment's spans
+     concatenate to the same string however a plan cut the segment —
+     which keeps lake cache keys independent of [jobs]. *)
+  let digest = function
+    | Workload (w : Workloads.Rt.t) ->
+      let b = Buffer.create 4096 in
+      Buffer.add_string b
+        (Printf.sprintf "%s entry=%d tick=%d\n" w.name w.entry w.tick_period);
+      List.iter
+        (fun (addr, word) ->
+           Buffer.add_string b (Printf.sprintf "%x:%x;" addr word))
+        w.image;
+      Digest.to_hex (Digest.string (Buffer.contents b))
+    | Span sp ->
+      String.concat ""
+        (List.filteri
+           (fun i _ -> i >= sp.sp_first && i < sp.sp_last)
+           (Trace.Segment.block_digests sp.sp_path))
 
-let summary_magic = "SCIFSUMM"
+  (* Stream the source's records through [f], announcing each workload
+     through [on_workload] before its records. Returns the workloads
+     seen, in first-appearance order, and the trace bytes. Scratch
+     decode and read-ahead are safe: no consumer here keeps a record
+     past [f] (the engine copies the values it keeps). *)
+  let iter ?(on_workload = ignore) ~f = function
+    | Workload (w : Workloads.Rt.t) ->
+      on_workload w.name;
+      let n = ref 0 in
+      ignore
+        (Trace.Runner.stream ~tick_period:w.tick_period ~entry:w.entry
+           ~observer:(fun r -> incr n; f r)
+           w.image);
+      ([ w.name ], record_bytes !n)
+    | Span sp ->
+      let (), info =
+        Trace.Segment.fold_range ~on_workload ~read_ahead:true
+          ~scratch:(Trace.Segment.scratch ())
+          ~first_block:sp.sp_first ~last_block:sp.sp_last
+          ~init:() ~f:(fun () r -> f r) sp.sp_path
+      in
+      (info.workloads, info.bytes)
 
-let summary_key ~config ~groups ~labels =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "scifinder-summary/%d\n" Daikon.Engine.codec_version);
-  List.iter2
-    (fun group label ->
-       Buffer.add_string b ("[" ^ label ^ "]");
-       List.iter
-         (fun w ->
-            Buffer.add_string b
-              (Cache.shard_key ~provenance:false config w ^ ";"))
-         group)
-    groups labels;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
-let summary_path dir key =
-  Filename.concat dir (Printf.sprintf "mine-%s.summary" (String.sub key 0 16))
-
-let encode_summary ~key (m : mining) =
-  let p = Util.Binio.writer () in
-  Util.Binio.write_uint p (List.length m.figure3);
-  List.iter
-    (fun r ->
-       Util.Binio.write_string p r.group_label;
-       Util.Binio.write_uint p r.unmodified;
-       Util.Binio.write_uint p r.fresh;
-       Util.Binio.write_uint p r.deleted;
-       Util.Binio.write_uint p r.total)
-    m.figure3;
-  Util.Binio.write_uint p m.record_count;
-  Util.Binio.write_uint p (List.length m.mnemonic_coverage);
-  List.iter (Util.Binio.write_string p) m.mnemonic_coverage;
-  Util.Binio.write_string p
-    (String.concat "\n" (List.map Expr.to_string m.invariants));
-  let payload = Util.Binio.contents p in
-  let h = Util.Binio.writer () in
-  Util.Binio.write_raw h summary_magic;
-  Util.Binio.write_string h key;
-  Util.Binio.write_raw h (Digest.string payload);
-  Util.Binio.write_string h payload;
-  Util.Binio.contents h
+  (* [iter] into an engine, naming each workload for death attribution
+     (a no-op without provenance), under one span per source whichever
+     domain it runs on. *)
+  let fold engine src =
+    let name, attrs =
+      match src with
+      | Workload w -> ("mine.shard", [ ("workload", Obs.Sink.S w.name) ])
+      | Span sp ->
+        ( "lake.replay",
+          [ ("segment", Obs.Sink.S (Filename.basename sp.sp_path));
+            ("first_block", Obs.Sink.I sp.sp_first);
+            ("last_block", Obs.Sink.I sp.sp_last) ] )
+    in
+    Obs.Span.with_ ~name ~attrs (fun () ->
+        iter ~on_workload:(Daikon.Engine.set_workload engine)
+          ~f:(Daikon.Engine.observe engine) src)
+end
 
 (* Reads exactly [n] values in order (the polymorphic list builders in
    the stdlib leave evaluation order unspecified, which matters when [f]
@@ -279,57 +181,159 @@ let read_seq n f =
   let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (f () :: acc) in
   go n []
 
-(* None on any mismatch or damage: a summary is pure acceleration, so
-   the only wrong answer is trusting a bad one. *)
-let decode_summary ~key data =
-  match
-    let r = Util.Binio.reader data in
-    if Util.Binio.read_string_exact r (String.length summary_magic)
-       <> summary_magic
-    then None
-    else if not (String.equal (Util.Binio.read_string r) key) then None
-    else begin
-      let digest = Util.Binio.read_string_exact r 16 in
-      let payload = Util.Binio.read_string r in
-      if Digest.string payload <> digest then None
-      else begin
-        let p = Util.Binio.reader payload in
-        let figure3 =
-          read_seq (Util.Binio.read_uint p) (fun () ->
-              let group_label = Util.Binio.read_string p in
-              let unmodified = Util.Binio.read_uint p in
-              let fresh = Util.Binio.read_uint p in
-              let deleted = Util.Binio.read_uint p in
-              let total = Util.Binio.read_uint p in
-              { group_label; unmodified; fresh; deleted; total })
-        in
-        let record_count = Util.Binio.read_uint p in
-        let mnemonic_coverage =
-          read_seq (Util.Binio.read_uint p) (fun () -> Util.Binio.read_string p)
-        in
-        let invariants = Invariant.Io.of_string (Util.Binio.read_string p) in
-        Some
-          { invariants; figure3; record_count;
-            trace_bytes = record_count * Trace.Var.total * 8;
-            mnemonic_coverage; prov = None; seconds = 0.0 }
-      end
+(* ---- The mining cache (warm-restart mining) ----
+
+   Entries live under the caller-supplied cache directory:
+
+     <dir>/<workload>.snap        one workload's engine shard
+     <dir>/mine-<key16>.summary   a whole result: Figure 3 rows, bytes
+     <dir>/mine-<key16>.snap      that result's engine
+
+   Every entry embeds its key, so a stale entry is positively detected
+   and re-mined rather than silently trusted. Writes are atomic (temp +
+   rename), so a crashed run can never leave a torn entry behind. *)
+
+module Cache = struct
+  (* The one key: codec version, config fingerprint, a provenance
+     marker, then each group's label and its sources' digests in order,
+     length-prefixed so no two group structures serialise alike. The
+     marker keeps a provenance run from adopting a provenance-free
+     snapshot (whose death records would be missing) and vice versa. *)
+  let key ~config ~provenance groups =
+    let b = Buffer.create 4096 in
+    Buffer.add_string b
+      (Printf.sprintf "scifinder-cache/%d\n" Daikon.Engine.codec_version);
+    if provenance then Buffer.add_string b "provenance\n";
+    Buffer.add_string b (Daikon.Config.canonical_string config);
+    List.iter
+      (fun (label, digests) ->
+         let d = String.concat "" digests in
+         Buffer.add_string b
+           (Printf.sprintf "\n%d:%s%d:" (String.length label) label
+              (String.length d));
+         Buffer.add_string b d)
+      groups;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+
+  (* Registered and fuzz-generated workload names are arbitrary strings;
+     percent-encoding pins each one to a single component of [dir] (a
+     name with '/' or '..' used to escape the cache directory
+     entirely). *)
+  let shard_path dir name =
+    Filename.concat dir (Util.Fsname.encode name ^ ".snap")
+
+  (* None means miss or stale — either way the caller re-traces and
+     overwrites. Distinguishing the two only matters for telemetry. *)
+  let load_shard ~config ~key dir name =
+    let path = shard_path dir name in
+    if not (Sys.file_exists path) then begin
+      Obs.Metrics.incr c_cache_miss;
+      None
     end
-  with
-  | m -> m
-  | exception Util.Binio.Truncated -> None
-  | exception Invariant.Io.Parse_error _ -> None
+    else
+      match Daikon.Engine.load ~key ~config path with
+      | engine ->
+        Obs.Metrics.incr c_cache_hit;
+        Some engine
+      | exception Daikon.Engine.Stale_snapshot _
+      | exception Daikon.Engine.Corrupt_snapshot _ ->
+        Obs.Metrics.incr c_cache_stale;
+        None
+      | exception Sys_error _ ->
+        Obs.Metrics.incr c_cache_miss;
+        None
 
-let load_summary dir ~key =
-  let path = summary_path dir key in
-  if not (Sys.file_exists path) then None
-  else
-    match Util.Binio.read_file path with
-    | data -> decode_summary ~key data
-    | exception Sys_error _ -> None
+  let save_shard ~key dir name engine =
+    Util.Binio.mkdir_p dir;
+    Daikon.Engine.save ~key engine (shard_path dir name)
 
-let save_summary dir ~key m =
-  Cache.mkdir_p dir;
-  Util.Binio.atomic_write (summary_path dir key) (encode_summary ~key m)
+  let result_path dir key ext =
+    Filename.concat dir (Printf.sprintf "mine-%s.%s" (String.sub key 0 16) ext)
+
+  (* A result entry frames its payload as magic, key, payload MD5,
+     payload. The payload holds only what the engine cannot tell: the
+     Figure 3 rows (the history of the fold) and the trace bytes (real
+     on-disk bytes for a lake). Invariants, record count and coverage
+     are read off the engine saved beside it, so the two cannot
+     disagree. *)
+  let magic = "SCIFMINE"
+
+  let encode_result ~key (rows, trace_bytes) =
+    let p = Util.Binio.writer () in
+    Util.Binio.write_uint p (List.length rows);
+    List.iter
+      (fun r ->
+         Util.Binio.write_string p r.group_label;
+         Util.Binio.write_uint p r.unmodified;
+         Util.Binio.write_uint p r.fresh;
+         Util.Binio.write_uint p r.deleted;
+         Util.Binio.write_uint p r.total)
+      rows;
+    Util.Binio.write_uint p trace_bytes;
+    let payload = Util.Binio.contents p in
+    let h = Util.Binio.writer () in
+    Util.Binio.write_raw h magic;
+    Util.Binio.write_string h key;
+    Util.Binio.write_raw h (Digest.string payload);
+    Util.Binio.write_string h payload;
+    Util.Binio.contents h
+
+  (* None on any mismatch or damage — another magic (including the
+     retired SCIFSUMM and SCIFLAKE), another key, a digest mismatch,
+     truncation, trailing bytes: a result entry is pure acceleration,
+     so the only wrong answer is trusting a bad one. *)
+  let decode_result ~key data =
+    match
+      let r = Util.Binio.reader data in
+      if Util.Binio.read_string_exact r (String.length magic) <> magic then
+        None
+      else if not (String.equal (Util.Binio.read_string r) key) then None
+      else begin
+        let digest = Util.Binio.read_string_exact r 16 in
+        let payload = Util.Binio.read_string r in
+        if Digest.string payload <> digest || not (Util.Binio.eof r) then None
+        else begin
+          let p = Util.Binio.reader payload in
+          let rows =
+            read_seq (Util.Binio.read_uint p) (fun () ->
+                let group_label = Util.Binio.read_string p in
+                let unmodified = Util.Binio.read_uint p in
+                let fresh = Util.Binio.read_uint p in
+                let deleted = Util.Binio.read_uint p in
+                let total = Util.Binio.read_uint p in
+                { group_label; unmodified; fresh; deleted; total })
+          in
+          let trace_bytes = Util.Binio.read_uint p in
+          if Util.Binio.eof p then Some (rows, trace_bytes) else None
+        end
+      end
+    with
+    | v -> v
+    | exception Util.Binio.Truncated -> None
+
+  (* A hit needs both halves; either one missing, stale or damaged is a
+     miss. *)
+  let load_result ~config dir ~key =
+    match
+      Option.map
+        (fun result ->
+           ( Daikon.Engine.load ~key ~config (result_path dir key "snap"),
+             result ))
+        (decode_result ~key
+           (Util.Binio.read_file (result_path dir key "summary")))
+    with
+    | hit -> hit
+    | exception
+        ( Sys_error _ | Daikon.Engine.Stale_snapshot _
+        | Daikon.Engine.Corrupt_snapshot _ ) ->
+      None
+
+  let save_result dir ~key engine result =
+    Util.Binio.mkdir_p dir;
+    Daikon.Engine.save ~key engine (result_path dir key "snap");
+    Util.Binio.atomic_write (result_path dir key "summary")
+      (encode_result ~key result)
+end
 
 let missing_mnemonics engine =
   let seen = Hashtbl.create 97 in
@@ -378,193 +382,15 @@ let absorb_shard engine shard =
   Obs.Metrics.add c_merge_ns (Int64.to_int (Obs.Clock.ns_since m0));
   Obs.Metrics.incr c_merges
 
-(* Replay one lake segment into an engine, block by block, under the
-   same span the live [mine_lake] fold always used. Scratch decode and
-   read-ahead are safe here: the engine copies the values it keeps at
-   observation, so nothing aliases the recycled rows past the fold. *)
-let replay_segment_into engine path =
-  let (), info =
-    Obs.Span.with_ ~name:"lake.replay"
-      ~attrs:[ ("segment", Obs.Sink.S (Filename.basename path)) ]
-      (fun () ->
-         Trace.Segment.fold
-           ~on_workload:(Daikon.Engine.set_workload engine)
-           ~read_ahead:true
-           ~scratch:(Trace.Segment.scratch ())
-           ~init:()
-           ~f:(fun () r -> Daikon.Engine.observe engine r)
-           path)
-  in
-  info
-
-(* Replay one shard-plan span into a fresh engine on the calling
-   domain. The per-span engines later merge in span order, so the
-   workload attribution [set_workload] writes here matches what a
-   sequential fold of the same blocks would have written. *)
-let replay_span_into engine (sp : Trace.Segment.span) =
-  let (), info =
-    Obs.Span.with_ ~name:"lake.replay"
-      ~attrs:
-        [ ("segment", Obs.Sink.S (Filename.basename sp.Trace.Segment.sp_path));
-          ("first_block", Obs.Sink.I sp.Trace.Segment.sp_first);
-          ("last_block", Obs.Sink.I sp.Trace.Segment.sp_last) ]
-      (fun () ->
-         Trace.Segment.fold_range
-           ~on_workload:(Daikon.Engine.set_workload engine)
-           ~read_ahead:true
-           ~scratch:(Trace.Segment.scratch ())
-           ~first_block:sp.Trace.Segment.sp_first
-           ~last_block:sp.Trace.Segment.sp_last
-           ~init:()
-           ~f:(fun () r -> Daikon.Engine.observe engine r)
-           sp.Trace.Segment.sp_path)
-  in
-  info
-
-(* ---- Lake-level warm cache ----
-
-   The analogue of the corpus summary for [mine_lake]: the cache key is
-   a digest over the codec version, the config fingerprint and every
-   segment's per-block MD5 digests (readable from the frame headers
-   without decoding a single payload), so touching any byte of the lake
-   — appending a block, replacing a segment — misses positively. A hit
-   restores the full mining result from [lake-<key>.summary]; the final
-   engine is persisted alongside as [lake-<key>.snap] so a serve session
-   mining the same lake adopts it whole (bit-identical snapshot bytes —
-   the codec is canonical). *)
-
-module Lake_cache = struct
-  let lake_magic = "SCIFLAKE"
-
-  let key ~config ~provenance segments =
-    let b = Buffer.create 4096 in
-    Buffer.add_string b
-      (Printf.sprintf "scifinder-lake/%d\n" Daikon.Engine.codec_version);
-    if provenance then Buffer.add_string b "provenance\n";
-    Buffer.add_string b (Daikon.Config.canonical_string config);
-    Buffer.add_char b '\n';
-    List.iter
-      (fun path ->
-         Buffer.add_string b (Filename.basename path);
-         Buffer.add_char b ':';
-         List.iter (Buffer.add_string b) (Trace.Segment.block_digests path);
-         Buffer.add_char b ';')
-      segments;
-    Digest.to_hex (Digest.string (Buffer.contents b))
-
-  let snap_path dir key =
-    Filename.concat dir (Printf.sprintf "lake-%s.snap" (String.sub key 0 16))
-
-  let sum_path dir key =
-    Filename.concat dir
-      (Printf.sprintf "lake-%s.summary" (String.sub key 0 16))
-
-  (* Same frame discipline as the corpus summary, plus the real on-disk
-     trace_bytes (a lake summary must restore it exactly, not estimate). *)
-  let encode_summary ~key (m : mining) =
-    let p = Util.Binio.writer () in
-    Util.Binio.write_uint p (List.length m.figure3);
-    List.iter
-      (fun r ->
-         Util.Binio.write_string p r.group_label;
-         Util.Binio.write_uint p r.unmodified;
-         Util.Binio.write_uint p r.fresh;
-         Util.Binio.write_uint p r.deleted;
-         Util.Binio.write_uint p r.total)
-      m.figure3;
-    Util.Binio.write_uint p m.record_count;
-    Util.Binio.write_uint p m.trace_bytes;
-    Util.Binio.write_uint p (List.length m.mnemonic_coverage);
-    List.iter (Util.Binio.write_string p) m.mnemonic_coverage;
-    Util.Binio.write_string p
-      (String.concat "\n" (List.map Expr.to_string m.invariants));
-    let payload = Util.Binio.contents p in
-    let h = Util.Binio.writer () in
-    Util.Binio.write_raw h lake_magic;
-    Util.Binio.write_string h key;
-    Util.Binio.write_raw h (Digest.string payload);
-    Util.Binio.write_string h payload;
-    Util.Binio.contents h
-
-  let decode_summary ~key data =
-    match
-      let r = Util.Binio.reader data in
-      if Util.Binio.read_string_exact r (String.length lake_magic)
-         <> lake_magic
-      then None
-      else if not (String.equal (Util.Binio.read_string r) key) then None
-      else begin
-        let digest = Util.Binio.read_string_exact r 16 in
-        let payload = Util.Binio.read_string r in
-        if Digest.string payload <> digest then None
-        else begin
-          let p = Util.Binio.reader payload in
-          let figure3 =
-            read_seq (Util.Binio.read_uint p) (fun () ->
-                let group_label = Util.Binio.read_string p in
-                let unmodified = Util.Binio.read_uint p in
-                let fresh = Util.Binio.read_uint p in
-                let deleted = Util.Binio.read_uint p in
-                let total = Util.Binio.read_uint p in
-                { group_label; unmodified; fresh; deleted; total })
-          in
-          let record_count = Util.Binio.read_uint p in
-          let trace_bytes = Util.Binio.read_uint p in
-          let mnemonic_coverage =
-            read_seq (Util.Binio.read_uint p) (fun () ->
-                Util.Binio.read_string p)
-          in
-          let invariants =
-            Invariant.Io.of_string (Util.Binio.read_string p)
-          in
-          Some
-            { invariants; figure3; record_count; trace_bytes;
-              mnemonic_coverage; prov = None; seconds = 0.0 }
-        end
-      end
-    with
-    | m -> m
-    | exception Util.Binio.Truncated -> None
-    | exception Invariant.Io.Parse_error _ -> None
-
-  let load_summary dir ~key =
-    let path = sum_path dir key in
-    if not (Sys.file_exists path) then None
-    else
-      match Util.Binio.read_file path with
-      | data -> decode_summary ~key data
-      | exception Sys_error _ -> None
-
-  let save dir ~key engine m =
-    Cache.mkdir_p dir;
-    Daikon.Engine.save ~key engine (snap_path dir key);
-    Util.Binio.atomic_write (sum_path dir key) (encode_summary ~key m)
-
-  let load_engine ~config dir ~key =
-    let path = snap_path dir key in
-    if not (Sys.file_exists path) then None
-    else
-      match Daikon.Engine.load ~key ~config path with
-      | engine -> Some engine
-      | exception Daikon.Engine.Stale_snapshot _
-      | exception Daikon.Engine.Corrupt_snapshot _
-      | exception Sys_error _ ->
-        None
-end
-
-(* ---- Sessions: the incremental entry points the batch paths ride on.
+(* ---- Sessions: the one mining driver ----
 
    A session owns one engine plus the Figure 3 diff state and remembers
-   every source it absorbed (workloads for re-streaming, lake dirs for
-   re-folding) so imported invariants can later be checked against its
-   corpus. [scifinder serve] holds one per client; [mine_cold] below is
-   now a thin wrapper: create a session, feed it the corpus groups. *)
+   every source it absorbed, so imported invariants can later be
+   checked against exactly that corpus. Every Phase 1 entry point is a
+   session fed an ordered list of source groups: the batch calls below
+   use a fresh one, and [scifinder serve] holds one per client. *)
 
 module Session = struct
-  type source =
-    | Src_workload of Workloads.Rt.t
-    | Src_lake of string
-
   type t = {
     config : Daikon.Config.t;
     provenance : bool;
@@ -572,7 +398,7 @@ module Session = struct
     cache_dir : string option;
     mutable engine : Daikon.Engine.t;
     mutable previous : (string, unit) Hashtbl.t;
-    mutable sources : source list;  (* newest first *)
+    mutable sources : Source.t list;  (* newest first *)
   }
 
   let create ?(config = Daikon.Config.default) ?(jobs = 1)
@@ -587,31 +413,10 @@ module Session = struct
 
   let workloads t =
     List.filter_map
-      (function Src_workload w -> Some w | Src_lake _ -> None)
+      (function Source.Workload w -> Some w | Source.Span _ -> None)
       (List.rev t.sources)
 
   let source_count t = List.length t.sources
-
-  (* Shard-or-stream plan, exactly the batch rule: [jobs <= 1] with no
-     cache streams straight into the session engine (the paper's
-     sequential setup, byte-identical to a live run); anything else
-     mines per-workload shards and merges them in order. *)
-  let shard_plan t ws =
-    if t.jobs <= 1 && t.cache_dir = None then None
-    else
-      Some
-        (mine_shards ~config:t.config ~provenance:t.provenance ~jobs:t.jobs
-           ~cache_dir:t.cache_dir (Array.of_list ws))
-
-  let absorb_list t shards idx ws =
-    List.iter
-      (fun w ->
-         (match shards with
-          | Some shards -> absorb_shard t.engine shards.(!idx)
-          | None -> trace_workload_into t.engine w);
-         incr idx;
-         t.sources <- Src_workload w :: t.sources)
-      ws
 
   let snapshot_row t ~label =
     let previous = ref t.previous in
@@ -621,18 +426,102 @@ module Session = struct
     Obs.Metrics.add c_mine_deleted row.deleted;
     row
 
-  let mine_groups t ~labels groups =
+  (* Whether [src] is mined in a private engine and merged, rather than
+     folded straight into the session engine. [jobs <= 1] with nothing
+     to load or save folds straight: the paper's sequential setup, and
+     the byte-identity reference. Only workloads have shard-cache
+     entries. A provenance replay of lake spans stays sequential at any
+     [jobs]: the death ring is an eviction-lossy trace whose order is
+     part of its meaning. *)
+  let private_engine t = function
+    | Source.Workload _ -> t.jobs > 1 || t.cache_dir <> None
+    | Source.Span _ -> t.jobs > 1 && not t.provenance
+
+  (* [src] in its own engine, on whichever pool domain runs it. A
+     shard-cache hit deserialises the engine and skips tracing; a miss
+     (or stale/corrupt entry) traces and then persists the shard BEFORE
+     the caller merges it — [merge_into] adopts shard state by
+     reference, so saving after the merge would snapshot a consumed
+     engine. *)
+  let shard t src =
+    let traced () =
+      let e =
+        Daikon.Engine.create ~config:t.config ~provenance:t.provenance ()
+      in
+      (e, Source.fold e src)
+    in
+    match (t.cache_dir, src) with
+    | Some dir, Source.Workload w ->
+      let key =
+        Cache.key ~config:t.config ~provenance:t.provenance
+          [ ("", [ Source.digest src ]) ]
+      in
+      (match Cache.load_shard ~config:t.config ~key dir w.name with
+       | Some e ->
+         (e, ([ w.name ], Source.record_bytes (Daikon.Engine.record_count e)))
+       | None ->
+         let ((e, _) as traced) = traced () in
+         Cache.save_shard ~key dir w.name e;
+         traced)
+    | _ -> traced ()
+
+  (* The driver: absorb [groups] in order, snapshotting a Figure 3 row
+     after each when [row]. A [None] label names the group by the
+     workloads it carried, in first-appearance order. Private engines
+     are built on one bounded pool and merged back in source order —
+     [merge_into] is an exact join, so every row and the engine bytes
+     are identical for any [jobs] and whichever sources came from the
+     cache. Returns the rows and the trace bytes absorbed. *)
+  let absorb t ~row groups =
     let before = record_count t in
-    let shards = shard_plan t (List.concat groups) in
-    let idx = ref 0 in
-    let rows = ref [] in
-    List.iter2
-      (fun group label ->
-         absorb_list t shards idx group;
-         rows := snapshot_row t ~label :: !rows)
-      groups labels;
+    (* Capture the submitting span and re-install it around each task,
+       so shard spans parent correctly even when they close on a pool
+       domain whose own span stack is empty. *)
+    let parent = Obs.Span.current () in
+    let shards =
+      Util.Parallel.map
+        ~wrap:(fun th -> Obs.Span.with_context parent th)
+        ~jobs:t.jobs
+        (fun src -> if private_engine t src then Some (shard t src) else None)
+        (Array.of_list (List.concat_map snd groups))
+    in
+    let next = ref 0 and bytes = ref 0 and rows = ref [] in
+    List.iter
+      (fun (label, group) ->
+         let seen = ref [] in
+         List.iter
+           (fun src ->
+              let workloads, b =
+                match shards.(!next) with
+                | Some (shard, info) ->
+                  absorb_shard t.engine shard;
+                  info
+                | None -> Source.fold t.engine src
+              in
+              incr next;
+              bytes := !bytes + b;
+              List.iter
+                (fun w -> if not (List.mem w !seen) then seen := w :: !seen)
+                workloads;
+              t.sources <- src :: t.sources)
+           group;
+         if row then begin
+           let label =
+             match label with
+             | Some l -> l
+             | None -> String.concat "+" (List.rev !seen)
+           in
+           rows := snapshot_row t ~label :: !rows
+         end)
+      groups;
     Obs.Metrics.add c_mine_records (record_count t - before);
-    List.rev !rows
+    (List.rev !rows, !bytes)
+
+  let of_workloads label ws =
+    (Some label, List.map (fun w -> Source.Workload w) ws)
+
+  let mine_groups t ~labels groups =
+    fst (absorb t ~row:true (List.map2 of_workloads labels groups))
 
   type outcome = {
     o_rows : figure3_row list;  (* [] when the caller skipped the diff *)
@@ -642,149 +531,85 @@ module Session = struct
   let default_label ws =
     String.concat "+" (List.map (fun w -> w.Workloads.Rt.name) ws)
 
+  (* [row:false] absorbs without extracting, leaving [previous] alone so
+     the next snapshotted call diffs against the last row the caller
+     actually asked for. *)
   let mine t ?label ?(row = true) ws =
     let before = record_count t in
-    if row then
-      let label = match label with Some l -> l | None -> default_label ws in
-      let rows = mine_groups t ~labels:[ label ] [ ws ] in
-      { o_rows = rows; o_records = record_count t - before }
-    else begin
-      (* No Figure 3 snapshot: absorb without extracting, leaving
-         [previous] alone so the next snapshotted call diffs against the
-         last row the caller actually asked for. *)
-      let shards = shard_plan t ws in
-      absorb_list t shards (ref 0) ws;
-      Obs.Metrics.add c_mine_records (record_count t - before);
-      { o_rows = []; o_records = record_count t - before }
-    end
+    let label = match label with Some l -> l | None -> default_label ws in
+    let rows, _ = absorb t ~row [ of_workloads label ws ] in
+    { o_rows = rows; o_records = record_count t - before }
 
+  (* A whole mining result over [groups]; [record_count] and
+     [trace_bytes] count this call only. A fresh session with a cache
+     directory first looks up the result entry (never on a provenance
+     run: an entry stores no provenance). A hit adopts the cached engine
+     whole — snapshot bytes are canonical, so this is bit-identical to
+     folding every source again; a miss folds and saves the entry. A
+     session that already holds state always folds: adopting would drop
+     that state. *)
+  let mine_result t groups =
+    let before = record_count t in
+    let entry =
+      match t.cache_dir with
+      | Some dir when t.sources = [] && not t.provenance ->
+        Some
+          ( dir,
+            Cache.key ~config:t.config ~provenance:false
+              (List.map
+                 (fun (label, srcs) ->
+                    ( Option.value label ~default:"",
+                      List.map Source.digest srcs ))
+                 groups) )
+      | _ -> None
+    in
+    let cached =
+      Option.bind entry (fun (dir, key) ->
+          Cache.load_result ~config:t.config dir ~key)
+    in
+    let rows, trace_bytes =
+      match cached with
+      | Some (engine, result) ->
+        Obs.Metrics.incr c_summary_hit;
+        t.engine <- engine;
+        t.sources <- List.rev (List.concat_map snd groups);
+        result
+      | None ->
+        if Option.is_some entry then Obs.Metrics.incr c_summary_miss;
+        let result = absorb t ~row:true groups in
+        Option.iter
+          (fun (dir, key) -> Cache.save_result dir ~key t.engine result)
+          entry;
+        result
+    in
+    let invariants = invariants t in
+    if Option.is_some cached then t.previous <- canon_set invariants;
+    { invariants;
+      figure3 = rows;
+      record_count = record_count t - before;
+      trace_bytes;
+      mnemonic_coverage = missing_mnemonics t.engine;
+      prov = prov_report ~provenance:t.provenance t.engine invariants;
+      seconds = 0.0 }
+
+  (* One group per segment, holding its spans of the byte-balanced plan
+     in order ([shard_spans] never lets a span cross a segment). The
+     session's sources are these spans, so [check] later replays
+     exactly the blocks mined, however the lake grows meanwhile. *)
   let mine_lake t dir =
     let segments = Trace.Segment.lake_segments dir in
     if segments = [] then
       invalid_arg ("Pipeline.Session.mine_lake: no segments under " ^ dir);
-    let before = record_count t in
-    let fresh = before = 0 && t.sources = [] in
-    let key =
-      match t.cache_dir with
-      | Some _ when not t.provenance ->
-        Some (Lake_cache.key ~config:t.config ~provenance:t.provenance
-                segments)
-      | _ -> None
-    in
-    (* Warm path: a fresh session adopts the cached lake engine whole —
-       snapshot bytes are canonical, so this is bit-identical to folding
-       every segment again. A session that already holds state folds
-       live (merging would perturb the sequential byte identity). *)
-    let warm =
-      match (fresh, t.cache_dir, key) with
-      | true, Some cdir, Some key ->
-        (match
-           ( Lake_cache.load_engine ~config:t.config cdir ~key,
-             Lake_cache.load_summary cdir ~key )
-         with
-         | Some engine, Some m ->
-           Obs.Metrics.incr c_summary_hit;
-           t.engine <- engine;
-           t.previous <- canon_set m.invariants;
-           Some m
-         | _ ->
-           Obs.Metrics.incr c_summary_miss;
-           None)
-      | _ -> None
-    in
-    match warm with
-    | Some m ->
-      t.sources <- Src_lake dir :: t.sources;
-      m
-    | None ->
-      let disk_bytes = ref 0 in
-      let rows =
-        (* Parallel cold path: shard the lake into byte-balanced block
-           spans, fold each span into its own engine on the domain pool,
-           then merge in span order — [merge_into] is an exact join and
-           blocks are self-contained, so the merged engine is
-           byte-identical (canonical SCIFSNAP) to the sequential fold.
-           Provenance replays stay sequential: the death ring is an
-           eviction-lossy trace whose merge order is part of its
-           meaning. *)
-        if t.jobs > 1 && not t.provenance then begin
-          let spans = Trace.Segment.shard_spans ~jobs:t.jobs segments in
-          let parent = Obs.Span.current () in
-          let shards =
-            Util.Parallel.map
-              ~wrap:(fun th -> Obs.Span.with_context parent th)
-              ~jobs:t.jobs
-              (fun sp ->
-                 let shard =
-                   Daikon.Engine.create ~config:t.config ~provenance:false ()
-                 in
-                 let info = replay_span_into shard sp in
-                 (sp, shard, info))
-              (Array.of_list spans)
-          in
-          let rows = ref [] in
-          (* One Figure 3 row per segment, as the sequential fold
-             produces: merge spans in order, snapshotting when the next
-             span (or the end) leaves the current segment. The label is
-             the segment's distinct workloads in first-appearance
-             order — span infos concatenate to exactly that. *)
-          let seg_workloads = ref [] in
-          Array.iteri
-            (fun i (sp, shard, (info : Trace.Segment.info)) ->
-               absorb_shard t.engine shard;
-               disk_bytes := !disk_bytes + info.Trace.Segment.bytes;
-               List.iter
-                 (fun w ->
-                    if not (List.mem w !seg_workloads) then
-                      seg_workloads := w :: !seg_workloads)
-                 info.Trace.Segment.workloads;
-               let seg_end =
-                 i + 1 = Array.length shards
-                 ||
-                 let next, _, _ = shards.(i + 1) in
-                 not
-                   (String.equal next.Trace.Segment.sp_path
-                      sp.Trace.Segment.sp_path)
-               in
-               if seg_end then begin
-                 let label =
-                   String.concat "+" (List.rev !seg_workloads)
-                 in
-                 rows := snapshot_row t ~label :: !rows;
-                 seg_workloads := []
-               end)
-            shards;
-          List.rev !rows
-        end
-        else
-          List.map
-            (fun path ->
-               let info = replay_segment_into t.engine path in
-               disk_bytes := !disk_bytes + info.Trace.Segment.bytes;
-               let label = String.concat "+" info.Trace.Segment.workloads in
-               snapshot_row t ~label)
-            segments
-      in
-      t.sources <- Src_lake dir :: t.sources;
-      let records = record_count t - before in
-      Obs.Metrics.add c_mine_records records;
-      let invariants = invariants t in
-      let m =
-        { invariants;
-          figure3 = rows;
-          record_count = records;
-          trace_bytes = !disk_bytes;  (* real on-disk bytes *)
-          mnemonic_coverage = missing_mnemonics t.engine;
-          prov = prov_report ~provenance:t.provenance t.engine invariants;
-          seconds = 0.0 }
-      in
-      (match (fresh, t.cache_dir, key) with
-       | true, Some cdir, Some key ->
-         (* The cached summary never carries provenance ([key] is None on
-            a provenance run, so this branch is unreachable then). *)
-         Lake_cache.save cdir ~key t.engine { m with prov = None }
-       | _ -> ());
-      m
+    mine_result t
+      (List.fold_right
+         (fun (sp : Trace.Segment.span) groups ->
+            match groups with
+            | (None, (Source.Span next :: _ as srcs)) :: rest
+              when String.equal next.sp_path sp.sp_path ->
+              (None, Source.Span sp :: srcs) :: rest
+            | _ -> (None, [ Source.Span sp ]) :: groups)
+         (Trace.Segment.shard_spans ~jobs:t.jobs segments)
+         [])
 
   type check_status = Supported | Violated | Vacuous
 
@@ -794,9 +619,9 @@ module Session = struct
     | Vacuous -> "vacuous"
 
   (* Validate imported invariants against everything this session has
-     absorbed, re-streaming workloads and re-folding lake segments (the
-     engine keeps no trace). One pass over the corpus: each record is
-     dispatched to the candidates of its program point only. *)
+     absorbed, replaying its sources (the engine keeps no trace). One
+     pass over the corpus: each record is dispatched to the candidates
+     of its program point only. *)
   let check t invs =
     Obs.Span.with_ ~name:"session.check"
       ~attrs:[ ("invariants", Obs.Sink.I (List.length invs)) ]
@@ -826,18 +651,7 @@ module Session = struct
                idxs
          in
          List.iter
-           (function
-             | Src_workload (w : Workloads.Rt.t) ->
-               ignore
-                 (Trace.Runner.stream ~tick_period:w.tick_period
-                    ~entry:w.entry ~observer:observe w.image)
-             | Src_lake dir ->
-               List.iter
-                 (fun path ->
-                    ignore
-                      (Trace.Segment.fold ~init:()
-                         ~f:(fun () r -> observe r) path))
-                 (Trace.Segment.lake_segments dir))
+           (fun src -> ignore (Source.iter ~f:observe src))
            (List.rev t.sources);
          Array.to_list
            (Array.mapi
@@ -855,25 +669,6 @@ module Session = struct
   let save t path = Daikon.Engine.save t.engine path
 end
 
-(* The cold path, now expressed over a session: trace (or load cached
-   shards), merge in corpus order, and snapshot the Figure 3 series
-   group by group. *)
-let mine_cold ~config ~provenance ~groups ~labels ~jobs ~cache_dir () =
-    let s = Session.create ~config ~jobs ~provenance ?cache_dir () in
-    let rows = Session.mine_groups s ~labels groups in
-    let engine = s.Session.engine in
-    let invariants = Daikon.Engine.invariants engine in
-    let record_count = Daikon.Engine.record_count engine in
-    publish_engine_stats engine;
-    let prov = prov_report ~provenance engine invariants in
-    { invariants;
-      figure3 = rows;
-      record_count;
-      trace_bytes = record_count * Trace.Var.total * 8;
-      mnemonic_coverage = missing_mnemonics engine;
-      prov;
-      seconds = 0.0 }
-
 let mine ?(config = Daikon.Config.default)
     ?(workloads = Workloads.Suite.all)
     ?(groups = Workloads.Suite.figure3_groups)
@@ -883,31 +678,16 @@ let mine ?(config = Daikon.Config.default)
     ?cache_dir
     () =
   let groups = List.map (List.map (resolve_exn ~workloads)) groups in
-  let body () =
-    match cache_dir with
-    (* The summary cache stores no provenance, so a provenance run only
-       uses the shard-level cache (whose key carries the marker). *)
-    | None ->
-      mine_cold ~config ~provenance ~groups ~labels ~jobs ~cache_dir:None ()
-    | Some _ when provenance ->
-      mine_cold ~config ~provenance ~groups ~labels ~jobs ~cache_dir ()
-    | Some dir ->
-      let key = summary_key ~config ~groups ~labels in
-      (match load_summary dir ~key with
-       | Some m ->
-         Obs.Metrics.incr c_summary_hit;
-         m
-       | None ->
-         Obs.Metrics.incr c_summary_miss;
-         let m =
-           mine_cold ~config ~provenance ~groups ~labels ~jobs ~cache_dir ()
-         in
-         save_summary dir ~key m;
-         m)
-  in
   let r, seconds =
     Obs.Span.timed ~name:"pipeline.mine"
-      ~attrs:[ ("jobs", Obs.Sink.I jobs) ] body
+      ~attrs:[ ("jobs", Obs.Sink.I jobs) ]
+      (fun () ->
+         let s = Session.create ~config ~jobs ~provenance ?cache_dir () in
+         let m =
+           Session.mine_result s (List.map2 Session.of_workloads labels groups)
+         in
+         publish_engine_stats s.Session.engine;
+         m)
   in
   { r with seconds }
 
@@ -919,16 +699,10 @@ let mine_invariants ?(config = Daikon.Config.default)
   Obs.Span.with_ ~name:"pipeline.mine"
     ~attrs:[ ("jobs", Obs.Sink.I jobs) ]
     (fun () ->
-       let engine = Daikon.Engine.create ~config ~provenance () in
-       if jobs <= 1 && cache_dir = None then
-         List.iter (trace_workload_into engine) ws
-       else
-         Array.iter (absorb_shard engine)
-           (mine_shards ~config ~provenance ~jobs ~cache_dir
-              (Array.of_list ws));
-       Obs.Metrics.add c_mine_records (Daikon.Engine.record_count engine);
-       publish_engine_stats engine;
-       Daikon.Engine.invariants engine)
+       let s = Session.create ~config ~jobs ~provenance ?cache_dir () in
+       ignore (Session.mine s ~row:false ws);
+       publish_engine_stats s.Session.engine;
+       Session.invariants s)
 
 (* ---- The trace lake: durable on-disk segments (ROADMAP item 2) ----
 
@@ -964,7 +738,7 @@ let record_lake ?(workloads = []) ?names ?(jobs = 1) ~dir () =
         [ ("segments", Obs.Sink.I (List.length ws));
           ("jobs", Obs.Sink.I jobs) ]
       (fun () ->
-         Cache.mkdir_p dir;
+         Util.Binio.mkdir_p dir;
          let parent = Obs.Span.current () in
          let per_workload =
            Util.Parallel.map
@@ -1003,19 +777,14 @@ let record_lake ?(workloads = []) ?names ?(jobs = 1) ~dir () =
 
 let mine_lake ?(config = Daikon.Config.default) ?(provenance = false)
     ?(jobs = 1) ?cache_dir dir =
-  let segments = Trace.Segment.lake_segments dir in
-  if segments = [] then
-    invalid_arg ("Pipeline.mine_lake: no segments under " ^ dir);
-  let body () =
-    let s = Session.create ~config ~provenance ~jobs ?cache_dir () in
-    let m = Session.mine_lake s dir in
-    publish_engine_stats s.Session.engine;
-    m
-  in
   let r, seconds =
     Obs.Span.timed ~name:"pipeline.mine"
       ~attrs:[ ("source", Obs.Sink.S "lake"); ("jobs", Obs.Sink.I jobs) ]
-      body
+      (fun () ->
+         let s = Session.create ~config ~provenance ~jobs ?cache_dir () in
+         let m = Session.mine_lake s dir in
+         publish_engine_stats s.Session.engine;
+         m)
   in
   { r with seconds }
 

@@ -55,30 +55,36 @@ val mine :
     the suite — built-ins plus anything {!Workloads.Suite.register}ed,
     e.g. a fuzz corpus; unknown names raise [Invalid_argument].
 
-    [jobs] (default {!Util.Parallel.default_jobs}) bounds the pool of
-    domains tracing workload shards in parallel; each shard feeds a
-    private {!Daikon.Engine.t} and the shards are merged in fixed corpus
-    order, so the invariant set and every Figure 3 snapshot are identical
-    for any [jobs >= 1].
+    A fresh {!Session} over the groups: each workload is a record
+    source, and each group is snapshotted as one Figure 3 row.
 
-    [cache_dir] enables incremental mining: each workload's engine shard
-    is persisted there as [<workload>.snap] (see {!Daikon.Engine.save}),
-    keyed by a digest of the codec version, the {!Daikon.Config}
-    fingerprint, and the workload's program image, entry point and tick
-    period — a hit skips tracing entirely and goes straight to the merge;
-    a stale, corrupt or truncated entry is rejected and re-mined. The
-    full result (Figure 3 rows, coverage, invariant set) is additionally
-    cached as [mine-<key>.summary], so a fully warm run also skips
-    merging and extraction. Cached and uncached runs produce
-    bit-identical results; all writes are atomic (temp file + rename).
+    [jobs] (default {!Util.Parallel.default_jobs}) bounds the pool of
+    domains tracing workloads in parallel; each feeds a private
+    {!Daikon.Engine.t} and the engines merge in fixed corpus order, so
+    the invariant set and every Figure 3 snapshot are identical for any
+    [jobs >= 1].
+
+    [cache_dir] enables incremental mining through the one mining cache.
+    Every entry is keyed by a digest of the codec version, the
+    {!Daikon.Config} fingerprint, a provenance marker, and the group
+    labels and source digests it covers (a workload's digest covers its
+    name, entry point, tick period and program image). Each workload's
+    engine is persisted as [<workload>.snap] (see {!Daikon.Engine.save}):
+    a hit skips tracing and goes straight to the merge. The whole result
+    is persisted as [mine-<key>.summary] (the Figure 3 rows and trace
+    bytes) beside [mine-<key>.snap] (its engine): a hit adopts that
+    engine and skips tracing and merging. A stale, corrupt, truncated or
+    retired-format entry is a miss and is re-mined. Cached and uncached
+    runs produce bit-identical results; all writes are atomic (temp file
+    + rename).
 
     [provenance] (default false) turns on the flight recorder: the
-    result carries a {!provenance_report} and shard snapshots embed the
-    death records (codec v2). The shard cache key folds in a provenance
-    marker — provenance and provenance-free runs never adopt each
-    other's shards — and the summary-level cache is bypassed, since a
-    summary stores no provenance. The mined invariant set is identical
-    either way. *)
+    result carries a {!provenance_report} and workload snapshots embed
+    the death records (codec v2). The provenance marker keeps provenance
+    and provenance-free runs from adopting each other's workload
+    entries, and a provenance run skips the whole-result entry, which
+    stores no provenance. The mined invariant set is identical either
+    way. *)
 
 val mine_invariants :
   ?config:Daikon.Config.t ->
@@ -90,8 +96,8 @@ val mine_invariants :
 (** Just the mined invariant set of the named workloads (default: the
     whole corpus; registered workloads resolve too), sharded over [jobs]
     domains like {!mine} but without the Figure 3 bookkeeping.
-    [cache_dir] caches per-workload shards exactly as in {!mine} (no
-    summary-level entry). *)
+    [cache_dir] caches per-workload engines exactly as in {!mine} (no
+    whole-result entry). *)
 
 (** {1 The on-disk trace lake (ROADMAP item 2)}
 
@@ -128,30 +134,30 @@ val record_lake :
 val mine_lake :
   ?config:Daikon.Config.t -> ?provenance:bool -> ?jobs:int ->
   ?cache_dir:string -> string -> mining
-(** Mine a lake directory out-of-core: fold every segment (in sorted
-    filename order — deterministic) through a single engine, one block
-    in memory at a time. The result is bit-identical to mining the same
-    workload sequence live with [jobs = 1]; [figure3] carries one row
-    per segment file and [trace_bytes] is the real on-disk size.
+(** Mine a lake directory out-of-core through a fresh {!Session}: the
+    record sources are byte-balanced block spans
+    ({!Trace.Segment.shard_spans}) of every segment, in sorted filename
+    order, replayed one block in memory at a time with scratch decode
+    and block read-ahead. The result is bit-identical to mining the same
+    workload sequence live with [jobs = 1]. [figure3] carries one row per
+    segment file, labelled by its workloads in first-appearance order,
+    and [trace_bytes] is the real on-disk size.
 
-    [jobs] (default 1) shards the replay: the lake is cut into
-    byte-balanced block spans ({!Trace.Segment.shard_spans}), each span
-    folds into its own engine on a domain pool with scratch decode and
-    block read-ahead, and the span engines merge back in span order —
-    an exact join, so the result (rows, invariants, and the canonical
-    SCIFSNAP engine bytes) is byte-identical for every [jobs >= 1]. A
-    provenance replay always runs sequentially ([jobs] is ignored): the
+    [jobs] (default 1) sets the plan's span count and the domain pool:
+    each span folds into its own engine and the span engines merge back
+    in span order — an exact join, so the result (rows, invariants, and
+    the canonical SCIFSNAP engine bytes) is byte-identical for every
+    [jobs >= 1]. A provenance replay folds its spans sequentially: the
     death ring is an eviction-lossy trace whose order is part of its
     meaning.
 
-    [cache_dir] enables a lake-level warm cache: the key digests the
-    codec version, the config fingerprint and every segment's per-block
-    MD5 digests (read from the frame headers without decoding payloads),
-    so appending a block or touching any segment re-mines. A warm hit
-    restores the full result from [lake-<key>.summary] and adopts the
-    engine persisted in [lake-<key>.snap] — bit-identical to the cold
-    fold, including the engine snapshot bytes. A provenance run bypasses
-    the lake cache (summaries store no provenance).
+    [cache_dir] uses the same whole-result entry as {!mine}. A span's
+    digest is its per-block MD5 digests, read from the frame headers
+    without decoding payloads, so the key does not depend on [jobs], and
+    appending a block or touching any segment re-mines. A hit adopts the
+    cached engine — bit-identical to the cold fold, including the engine
+    snapshot bytes. A provenance run skips the entry (it stores no
+    provenance).
     @raise Invalid_argument if [dir] holds no segments.
     @raise Trace.Segment.Corrupt_segment on a torn or damaged segment. *)
 
@@ -172,13 +178,14 @@ module Session : sig
     ?provenance:bool ->
     ?cache_dir:string ->
     unit -> t
-  (** A fresh session. [jobs] (default 1) and [cache_dir] follow the
-      {!mine} rules: [jobs <= 1] with no cache streams every workload
-      sequentially through the session engine — the paper's setup, and
-      the byte-identity reference — while anything else mines
-      per-workload shards (hitting the shard cache) and merges them in
-      submission order. [jobs] also shards {!mine_lake} replays across
-      the same pool (see {!val-mine_lake}). *)
+  (** A fresh session. Every mining call feeds it ordered groups of
+      record sources (workloads, or lake block spans) through one
+      driver, with the {!mine} rules: [jobs <= 1] with no workload
+      entry to load or save folds each source straight into the session
+      engine — the paper's setup, and the byte-identity reference —
+      while anything else builds one engine per source on a pool of
+      [jobs] (default 1) domains, loading or saving a workload's
+      [cache_dir] entry, and merges them in source order. *)
 
   type outcome = {
     o_rows : figure3_row list;  (** [[]] when the caller skipped the diff *)
@@ -197,16 +204,17 @@ module Session : sig
       snapshot a row after it, exactly as the batch {!val-mine} does. *)
 
   val mine_lake : t -> string -> mining
-  (** Fold a lake directory into the session (see {!val-mine_lake}).
-      On a fresh session with a [cache_dir], a warm hit adopts the
-      cached engine whole; a cold fold on a fresh session populates the
-      cache. With [jobs > 1] (and no provenance) the cold fold runs the
-      sharded parallel replay and merges the span engines into the
-      session engine — byte-identical to the sequential fold, on fresh
-      and non-fresh sessions alike, and the cache key ignores [jobs]
-      entirely (a lake mined at any [jobs] warms every other).
-      [record_count]/[trace_bytes] in the result count this call only;
-      [invariants] is the full session set afterwards. *)
+  (** Fold a lake directory's block spans into the session (see
+      {!val-mine_lake}), one Figure 3 row per segment — byte-identical
+      to the sequential fold for any [jobs], on fresh and non-fresh
+      sessions alike. On a fresh session with a [cache_dir], a hit on
+      the whole-result entry adopts the cached engine; a miss folds and
+      saves the entry, whose key ignores [jobs] (a lake mined at any
+      [jobs] warms every other). The spans become the session's
+      sources, so {!check} replays exactly the blocks mined however the
+      lake grows afterwards. [record_count]/[trace_bytes] in the result
+      count this call only; [invariants] is the full session set
+      afterwards. *)
 
   type check_status = Supported | Violated | Vacuous
 
@@ -215,17 +223,17 @@ module Session : sig
 
   val check : t -> Invariant.Expr.t list -> (Invariant.Expr.t * check_status) list
   (** Validate imported invariants against everything this session has
-      absorbed, re-streaming its workloads and re-folding its lake
-      segments in one pass. [Vacuous]: the invariant's program point
-      never appeared in the corpus. *)
+      absorbed, re-streaming its workloads and replaying its lake spans
+      in one pass. [Vacuous]: the invariant's program point never
+      appeared in the corpus. *)
 
   val invariants : t -> Invariant.Expr.t list
   val record_count : t -> int
   val workloads : t -> Workloads.Rt.t list
-  (** Absorbed workloads, oldest first (lake sources not included). *)
+  (** Absorbed workloads, oldest first (lake spans not included). *)
 
   val source_count : t -> int
-  (** Mined sources (workloads + lake directories) so far. *)
+  (** Mined sources (workloads + lake block spans) so far. *)
 
   val encode : t -> string
   (** The engine's canonical snapshot bytes ({!Daikon.Engine.encode}) —

@@ -7,11 +7,15 @@ exception Protocol_error of string
 type t = {
   fd : Unix.file_descr;
   dec : Frame.decoder;
+  buf : Bytes.t;  (* read buffer: one per connection, so clients on
+                     different domains never share it *)
   mutable next_id : int;
   mutable stash : Proto.response list;  (* out-of-order responses *)
 }
 
-let make fd = { fd; dec = Frame.decoder (); next_id = 1; stash = [] }
+let make fd =
+  { fd; dec = Frame.decoder (); buf = Bytes.create 65536; next_id = 1;
+    stash = [] }
 
 let connect_unix path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -57,8 +61,6 @@ let send t ?session request =
     (Frame.encode (Proto.encode_request { Proto.id; session; request }));
   id
 
-let buf = Bytes.create 65536
-
 (* One response straight off the socket, bypassing the stash. *)
 let rec read_response t =
   match Frame.next t.dec with
@@ -68,10 +70,10 @@ let rec read_response t =
      | Error m -> raise (Protocol_error ("bad response: " ^ m)))
   | `Error e -> raise (Protocol_error (Frame.error_message e))
   | `Await ->
-    (match Unix.read t.fd buf 0 (Bytes.length buf) with
+    (match Unix.read t.fd t.buf 0 (Bytes.length t.buf) with
      | 0 -> raise (Protocol_error "connection closed by server")
      | n ->
-       Frame.feed t.dec (Bytes.sub_string buf 0 n);
+       Frame.feed t.dec (Bytes.sub_string t.buf 0 n);
        read_response t
      | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_response t)
 

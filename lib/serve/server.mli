@@ -15,7 +15,8 @@ type config = {
   max_inflight : int;    (** per-session queued+running bound *)
   idle_timeout : float;  (** seconds; [0.] disables eviction *)
   cache_dir : string option;
-      (** shard + lake warm cache for every session *)
+      (** the mining cache ({!Scifinder_core.Pipeline.mine}) for every
+          session *)
   mine_jobs : int;       (** per-session mining parallelism; [1] is the
                              byte-identity reference *)
 }

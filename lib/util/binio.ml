@@ -147,6 +147,13 @@ let atomic_write path data =
        fsync_dir dir;
        ok := true)
 
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    (try Unix.mkdir dir 0o755
+     with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
+  end
+
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in ic)

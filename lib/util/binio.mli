@@ -54,5 +54,10 @@ val atomic_write : string -> string -> unit
     filesystems that refuse directory fsync the rename's durability is
     whatever the platform provides; atomicity is unaffected. *)
 
+val mkdir_p : string -> unit
+(** Create [dir] and any missing parents (mode 0o755); a directory that
+    already exists, or that a concurrent caller creates first, is
+    fine. *)
+
 val read_file : string -> string
 (** The whole (binary) file as a string. @raise Sys_error. *)

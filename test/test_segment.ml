@@ -292,6 +292,26 @@ let test_lake_slash_named_workload () =
       Alcotest.(check int) "records survive"
         stats.Pipeline.lake_records m.Pipeline.record_count)
 
+(* [check] judges imported invariants against the records the session
+   absorbed — the block spans it mined — not against whatever the lake
+   holds when [check] runs. *)
+let test_check_after_lake_grows () =
+  with_tmp_dir (fun dir ->
+      ignore (Pipeline.record_lake ~names:[ "pi" ] ~dir ());
+      let s = Pipeline.Session.create () in
+      let m = Pipeline.Session.mine_lake s dir in
+      let statuses () =
+        List.map snd (Pipeline.Session.check s m.Pipeline.invariants)
+      in
+      let before = statuses () in
+      Alcotest.(check bool) "every mined invariant supported" true
+        (List.for_all (( = ) Pipeline.Session.Supported) before);
+      (* Grow the lake both ways: a new segment and an appended block. *)
+      ignore (Pipeline.record_lake ~names:[ "helloworld"; "pi" ] ~dir ());
+      Alcotest.(check (list string)) "statuses unchanged after the lake grew"
+        (List.map Pipeline.Session.check_status_name before)
+        (List.map Pipeline.Session.check_status_name (statuses ())))
+
 (* ---- sharded parallel replay ---- *)
 
 let session_digest ?pre ~jobs dir =
@@ -575,7 +595,9 @@ let () =
          Alcotest.test_case "append accumulates" `Quick
            test_lake_append_accumulates;
          Alcotest.test_case "hostile workload name contained" `Quick
-           test_lake_slash_named_workload ]);
+           test_lake_slash_named_workload;
+         Alcotest.test_case "check replays only the mined spans" `Quick
+           test_check_after_lake_grows ]);
       ("parallel",
        [ Alcotest.test_case "fold_range partitions exactly at every block"
            `Quick test_fold_range_partition_exact;

@@ -456,6 +456,49 @@ let test_server_mine_and_check () =
               sessions)
        | r -> Alcotest.failf "status: %s" (Serve.Proto.encode_response r)))
 
+(* Every client owns its read buffer. Two domains, each on its own
+   connection, make [calls] status calls; every reply must come back
+   under the id its request was sent with. A buffer shared by the
+   process let the domains overwrite each other's reads: garbled frames
+   or a stall. *)
+let test_clients_on_two_domains () =
+  with_server (fun path ->
+      let calls = 3000 in
+      let finished = Atomic.make 0 in
+      let client () =
+        Fun.protect ~finally:(fun () -> Atomic.incr finished) @@ fun () ->
+        let c = Serve.Client.connect_unix path in
+        Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+        let rec go answered =
+          if answered = calls then answered
+          else begin
+            let id = Serve.Client.send c Serve.Proto.Status in
+            match Serve.Client.recv c with
+            | Serve.Proto.Stats _ as r when Serve.Proto.response_id r = id ->
+              go (answered + 1)
+            | _ -> answered
+            | exception Serve.Client.Protocol_error _ -> answered
+          end
+        in
+        go 0
+      in
+      let domains = [ Domain.spawn client; Domain.spawn client ] in
+      let deadline = Unix.gettimeofday () +. 30. in
+      while Atomic.get finished < 2 && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.01
+      done;
+      let stalled = Atomic.get finished < 2 in
+      (* A stalled client waits for a reply it will never read; shutting
+         the server down closes its connection so its domain can be
+         joined. *)
+      if stalled then
+        (try ignore (call_one path Serve.Proto.Shutdown)
+         with Serve.Client.Protocol_error _ -> ());
+      let answered = List.map Domain.join domains in
+      Alcotest.(check bool) "no client stalled" false stalled;
+      Alcotest.(check (list int)) "every reply under its own id"
+        [ calls; calls ] answered)
+
 let test_server_hostile_bytes () =
   with_server (fun path ->
       (* Garbage JSON in a valid frame: structured Failed, id 0, and the
@@ -739,6 +782,8 @@ let () =
        [ Alcotest.test_case "mine, check, status" `Quick
            test_server_mine_and_check;
          Alcotest.test_case "hostile bytes" `Quick test_server_hostile_bytes;
+         Alcotest.test_case "clients on two domains" `Quick
+           test_clients_on_two_domains;
          Alcotest.test_case "busy and cancel" `Quick
            test_server_busy_and_cancel;
          Alcotest.test_case "sessions and eviction" `Quick

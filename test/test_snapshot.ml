@@ -264,6 +264,146 @@ let test_lake_cache_append_invalidates () =
             (lake_session_digest lake)
             (lake_session_digest ~cache_dir:cache lake)))
 
+(* ---- the result entry: one format, pinned ----
+
+   A whole mining result is cached as [mine-<key16>.summary] (magic
+   SCIFMINE: the Figure 3 rows and the trace bytes) beside
+   [mine-<key16>.snap] (its engine). The decoder is private to the
+   pipeline, so these tests reach it the way a run does: through the
+   cache directory, where a hostile or retired entry must read as a miss
+   and the run must still return the right answer. *)
+
+let summary_misses () =
+  Obs.Metrics.counter_value (Obs.Metrics.counter "mine.cache.summary_miss")
+
+let write_file path data =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc data)
+
+(* The one result entry a cold run left in [dir]. *)
+let result_entry dir =
+  match
+    List.filter
+      (fun f -> Filename.check_suffix f ".summary")
+      (Array.to_list (Sys.readdir dir))
+  with
+  | [ f ] -> Filename.concat dir f
+  | l -> Alcotest.failf "expected one result entry, found %d" (List.length l)
+
+let check_same_answer msg (a : Pipeline.mining) (b : Pipeline.mining) =
+  Alcotest.(check (list string)) (msg ^ ": invariants")
+    (List.map Expr.to_string a.invariants)
+    (List.map Expr.to_string b.invariants);
+  Alcotest.(check bool) (msg ^ ": figure3 rows") true (a.figure3 = b.figure3);
+  Alcotest.(check int) (msg ^ ": records") a.record_count b.record_count;
+  Alcotest.(check int) (msg ^ ": trace bytes") a.trace_bytes b.trace_bytes;
+  Alcotest.(check (list string)) (msg ^ ": coverage")
+    a.mnemonic_coverage b.mnemonic_coverage
+
+(* Prologue and exit only: a re-mine costs milliseconds, so the
+   property below can afford a whole run per hostile input. *)
+let tiny =
+  Workloads.Rt.build ~name:"tiny"
+    (Workloads.Rt.prologue @ Workloads.Rt.exit_program)
+
+let mine_tiny dir =
+  Pipeline.mine ~workloads:[ tiny ] ~groups:[ [ "tiny" ] ] ~labels:[ "tiny" ]
+    ~jobs:1 ~cache_dir:dir ()
+
+(* Random bytes, a strict prefix of a valid entry, or a valid entry
+   with one bit flipped. *)
+let hostile_entry valid =
+  let n = String.length valid in
+  QCheck.Gen.(
+    oneof
+      [ string_size ~gen:char (0 -- (2 * n));
+        map (fun k -> String.sub valid 0 k) (0 -- (n - 1));
+        map
+          (fun bit ->
+             let b = Bytes.of_string valid in
+             let i = bit / 8 in
+             Bytes.set b i
+               (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+             Bytes.to_string b)
+          (0 -- ((8 * n) - 1)) ])
+
+let test_hostile_result_entry () =
+  with_cache_dir (fun dir ->
+      let reference = mine_tiny dir in
+      let entry = result_entry dir in
+      let valid = Util.Binio.read_file entry in
+      (* Each input decodes to a miss — counted as one, never raised —
+         and the run re-mines to the reference answer. *)
+      let misses_cleanly data =
+        write_file entry data;
+        let hits = summary_hits () and misses = summary_misses () in
+        let m = mine_tiny dir in
+        summary_hits () = hits
+        && summary_misses () = misses + 1
+        && List.map Expr.to_string m.Pipeline.invariants
+           = List.map Expr.to_string reference.Pipeline.invariants
+        && m.Pipeline.figure3 = reference.Pipeline.figure3
+        && m.Pipeline.trace_bytes = reference.Pipeline.trace_bytes
+      in
+      for k = 0 to String.length valid - 1 do
+        if not (misses_cleanly (String.sub valid 0 k)) then
+          Alcotest.failf "strict prefix of %d bytes was not a clean miss" k
+      done;
+      QCheck.Test.check_exn
+        (QCheck.Test.make ~count:300 ~name:"hostile result entry is a miss"
+           (QCheck.make ~print:String.escaped (hostile_entry valid))
+           misses_cleanly))
+
+(* [test/golden/pi-helloworld.summary] is the result entry of a cold
+   [mine] of pi then helloworld. Its key digests the engine codec
+   version, the default config and both program images, so a change to
+   any of them must come with a fresh golden: copy the entry a cold run
+   of [mine_pair] writes. *)
+let golden_path = "golden/pi-helloworld.summary"
+
+let mine_pair dir =
+  Pipeline.mine ~jobs:1 ~groups:[ [ "pi" ]; [ "helloworld" ] ]
+    ~labels:[ "pi"; "helloworld" ] ~cache_dir:dir ()
+
+let test_golden_result_entry () =
+  with_cache_dir (fun cold_dir ->
+      with_cache_dir (fun warm_dir ->
+          let golden = Util.Binio.read_file golden_path in
+          let cold = mine_pair cold_dir in
+          let entry = result_entry cold_dir in
+          (* Encoding is pinned: a cold run writes the golden bytes. *)
+          Alcotest.(check string) "cold entry == golden bytes"
+            (Digest.to_hex (Digest.string golden))
+            (Digest.to_hex (Digest.string (Util.Binio.read_file entry)));
+          (* Decoding is pinned: the golden entry, beside the engine it
+             names, answers a warm run exactly as the cold run did. *)
+          let warm_entry = Filename.concat warm_dir (Filename.basename entry) in
+          let snap = Filename.chop_suffix entry ".summary" ^ ".snap" in
+          write_file warm_entry golden;
+          write_file
+            (Filename.concat warm_dir (Filename.basename snap))
+            (Util.Binio.read_file snap);
+          let hits = summary_hits () in
+          check_same_answer "golden decodes to the cold answer" cold
+            (mine_pair warm_dir);
+          Alcotest.(check int) "golden entry hit" (hits + 1) (summary_hits ());
+          (* An entry in a retired format is a miss, never an error: the
+             run re-mines to the same answer and rewrites the entry. *)
+          List.iter
+            (fun retired ->
+               write_file warm_entry
+                 (retired
+                  ^ String.sub golden 8 (String.length golden - 8));
+               let misses = summary_misses () in
+               check_same_answer (retired ^ " re-mined") cold
+                 (mine_pair warm_dir);
+               Alcotest.(check int) (retired ^ " is a miss") (misses + 1)
+                 (summary_misses ());
+               Alcotest.(check bool) (retired ^ " entry rewritten") true
+                 (String.equal golden (Util.Binio.read_file warm_entry)))
+            [ "SCIFSUMM"; "SCIFLAKE" ]))
+
 let () =
   Alcotest.run "snapshot"
     [ ("engine",
@@ -286,4 +426,9 @@ let () =
        [ Alcotest.test_case "warm equals cold (digest-keyed)" `Quick
            test_lake_cache_warm_equals_cold;
          Alcotest.test_case "append invalidates" `Quick
-           test_lake_cache_append_invalidates ]) ]
+           test_lake_cache_append_invalidates ]);
+      ("result entry",
+       [ Alcotest.test_case "hostile input is a miss" `Quick
+           test_hostile_result_entry;
+         Alcotest.test_case "golden entry and retired magics" `Quick
+           test_golden_result_entry ]) ]
