@@ -923,12 +923,16 @@ let mutbench () =
   in
   pf "Table 1 detection: interpretive %d/17, compiled %d/17\n"
     table1_interp table1_compiled;
-  (* The campaign, twice with the same seed: fingerprints must agree. *)
+  (* The campaign, twice with the same seed — on every domain, then on
+     one: fingerprints must agree. *)
+  let camp_jobs = Util.Parallel.default_jobs () in
   let camp =
-    Pipeline.campaign ~seed:mutbench_seed ~mutants:mutbench_mutants ~sci ()
+    Pipeline.campaign ~seed:mutbench_seed ~mutants:mutbench_mutants
+      ~jobs:camp_jobs ~sci ()
   in
   let camp2 =
-    Pipeline.campaign ~seed:mutbench_seed ~mutants:mutbench_mutants ~sci ()
+    Pipeline.campaign ~seed:mutbench_seed ~mutants:mutbench_mutants ~jobs:1
+      ~sci ()
   in
   let deterministic = String.equal camp.fingerprint camp2.fingerprint in
   pf "\ncampaign: %d/%d mutants detected over %d fuzz triggers \
@@ -945,8 +949,8 @@ let mutbench () =
           else Printf.sprintf "%.1f" cl.class_mean_latency)
          cl.class_fp_rate)
     camp.classes;
-  pf "deterministic per seed: %b (fingerprint %s)\n" deterministic
-    camp.fingerprint;
+  pf "deterministic per seed, jobs %d == jobs 1: %b (fingerprint %s)\n"
+    camp_jobs deterministic camp.fingerprint;
   let pass =
     !identical && speedup >= mutbench_floor
     && table1_compiled >= table1_interp
@@ -971,7 +975,9 @@ let mutbench () =
       ("triggers", float_of_int camp.trigger_count);
       ("fp_triggers", float_of_int camp.fp_trigger_count);
       ("deterministic", if deterministic then 1.0 else 0.0);
-      ("campaign_s", camp.camp_seconds) ]
+      ("campaign_s", camp.camp_seconds);
+      ("campaign_jobs", float_of_int camp_jobs);
+      ("campaign_jobs1_s", camp2.camp_seconds) ]
     @ List.concat_map
         (fun (cl : Pipeline.campaign_class) ->
            let p = String.lowercase_ascii cl.class_name in

@@ -492,7 +492,7 @@ let campaign_cmd =
         m "campaign: %d mutants, %d triggers, %d assertions (seed %d)"
           mutants triggers (List.length summary.unique_sci) seed);
     let c =
-      Scifinder_core.Pipeline.campaign ~seed ~mutants ~triggers ~tries
+      Scifinder_core.Pipeline.campaign ~seed ~mutants ~triggers ~tries ~jobs
         ~sci:summary.unique_sci ()
     in
     Printf.printf
@@ -769,7 +769,8 @@ let trace_cmd =
          | `Halted Cpu.Machine.Exit -> "exit"
          | `Halted Cpu.Machine.Stalled -> "stalled"
          | `Halted Cpu.Machine.Double_fault -> "double fault"
-         | `Max_steps -> "step budget exhausted");
+         | `Max_steps -> "step budget exhausted"
+         | `Stopped -> "stopped");
       let hits, misses, invalidates =
         Cpu.Machine.decode_cache_stats machine
       in

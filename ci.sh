@@ -74,6 +74,14 @@ grep -q 'minebench gate (state identical, stream==replay==sharded, seq==par, >=1
 # taxonomy with a seed-stable fingerprint.
 dune exec bench/main.exe -- mutbench | tee /tmp/mutbench.out
 grep -q 'mutbench gate (compiled==interpretive, >=2x, table1 >= baseline, >=200 mutants deterministic): PASS' /tmp/mutbench.out
+# Campaign jobs gate: the CLI campaign on one domain and on two must
+# print the same fingerprint line (outcomes are gathered in mutant
+# order, whatever domain ran them).
+for j in 1 2; do
+  dune exec bin/scifinder.exe -- campaign --mutants 40 -j $j | tee /tmp/campaign_j$j.out
+  grep -q '^fingerprint ' /tmp/campaign_j$j.out
+done
+test "$(grep '^fingerprint ' /tmp/campaign_j1.out)" = "$(grep '^fingerprint ' /tmp/campaign_j2.out)"
 # Lakebench gate: replaying the on-disk trace lake must be bit-identical
 # (SCIFSNAP engine bytes) to live simulation at 1x and at the 100x
 # replicated corpus, stream records off disk at least as fast as the

@@ -21,7 +21,11 @@
    because trace points are per-branch mnemonic literals, the
    String.equal in the cache check usually short-circuits on physical
    equality. Straight-line code between taken branches keeps hitting the
-   cache without touching the table. *)
+   cache without touching the table.
+
+   The compiled battery itself is immutable: the last-point cache is a
+   [cursor] each scan makes for itself, so one battery can be shared by
+   any number of domains scanning at once. *)
 
 module Expr = Invariant.Expr
 
@@ -146,10 +150,7 @@ type slot = {
 
 type t = {
   battery : Ovl.t array;
-  by_point : (string, slot array) Hashtbl.t;
-  empty : slot array;
-  mutable last_point : string;
-  mutable last_batch : slot array;
+  by_point : (string, slot array) Hashtbl.t;  (* read-only after compile *)
 }
 
 let c_records = Obs.Metrics.counter "monitor.compiled.records"
@@ -177,34 +178,46 @@ let compile assertions =
     (fun point slots ->
        Hashtbl.replace by_point point (Array.of_list (List.rev slots)))
     order;
-  { battery; by_point; empty = [||]; last_point = "\000"; last_batch = [||] }
+  { battery; by_point }
 
 let size t = Array.length t.battery
+
+(* One scan's point-dispatch state. Never shared: every scan makes its
+   own, so concurrent scans of one battery cannot pair one point's name
+   with another point's batch. *)
+type cursor = {
+  table : (string, slot array) Hashtbl.t;
+  mutable last_point : string;
+  mutable last_batch : slot array;
+}
+
+let cursor t = { table = t.by_point; last_point = "\000"; last_batch = [||] }
 
 (* Interned-point dispatch: the cache check is a String.equal that hits
    physical equality for per-branch mnemonic literals, so straight-line
    trace sections never touch the hashtable. *)
-let batch_for t point =
-  if String.equal point t.last_point then t.last_batch
+let batch_for c point =
+  if String.equal point c.last_point then c.last_batch
   else begin
     let batch =
-      match Hashtbl.find_opt t.by_point point with
+      match Hashtbl.find_opt c.table point with
       | Some b -> b
-      | None -> t.empty
+      | None -> [||]
     in
-    t.last_point <- point;
-    t.last_batch <- batch;
+    c.last_point <- point;
+    c.last_batch <- batch;
     batch
   end
 
 let run t records =
   let t0 = Obs.Clock.now_ns () in
+  let c = cursor t in
   let nrecords = ref 0 and nevals = ref 0 and nfirings = ref 0 in
   let firings = ref [] in
   List.iteri
     (fun step (record : Trace.Record.t) ->
        incr nrecords;
-       let batch = batch_for t record.Trace.Record.point in
+       let batch = batch_for c record.Trace.Record.point in
        let n = Array.length batch in
        for i = 0 to n - 1 do
          incr nevals;
@@ -231,36 +244,44 @@ let check_mask t = function
       invalid_arg "Compile.first_firing: mask length <> battery size";
     Some mask
 
+(* The first unmasked assertion of [record]'s batch that fires, in
+   battery order; every evaluation is counted into [nevals]. *)
+let first_in c ~ignore ~nevals step (record : Trace.Record.t) =
+  let batch = batch_for c record.Trace.Record.point in
+  let n = Array.length batch in
+  let rec probe i =
+    if i >= n then None
+    else begin
+      let slot = Array.unsafe_get batch i in
+      let live =
+        match ignore with None -> true | Some m -> not m.(slot.s_index)
+      in
+      if live then begin
+        incr nevals;
+        if slot.s_violated record then begin
+          Obs.Metrics.incr slot.s_fired;
+          Obs.Metrics.add c_firings 1;
+          Some { Monitor.assertion = slot.s_assertion; step; record }
+        end
+        else probe (i + 1)
+      end
+      else probe (i + 1)
+    end
+  in
+  probe 0
+
 let first_firing ?ignore t records =
   let ignore = check_mask t ignore in
   let t0 = Obs.Clock.now_ns () in
+  let c = cursor t in
   let nrecords = ref 0 and nevals = ref 0 in
-  let live slot =
-    match ignore with None -> true | Some m -> not m.(slot.s_index)
-  in
   let rec scan step = function
     | [] -> None
-    | (record : Trace.Record.t) :: rest ->
+    | record :: rest ->
       incr nrecords;
-      let batch = batch_for t record.Trace.Record.point in
-      let n = Array.length batch in
-      let rec probe i =
-        if i >= n then scan (step + 1) rest
-        else begin
-          let slot = Array.unsafe_get batch i in
-          if live slot then begin
-            incr nevals;
-            if slot.s_violated record then begin
-              Obs.Metrics.incr slot.s_fired;
-              Obs.Metrics.add c_firings 1;
-              Some { Monitor.assertion = slot.s_assertion; step; record }
-            end
-            else probe (i + 1)
-          end
-          else probe (i + 1)
-        end
-      in
-      probe 0
+      (match first_in c ~ignore ~nevals step record with
+       | Some _ as found -> found
+       | None -> scan (step + 1) rest)
   in
   let result = scan 0 records in
   Obs.Metrics.add c_records !nrecords;
@@ -270,17 +291,44 @@ let first_firing ?ignore t records =
 
 let detects ?ignore t records = first_firing ?ignore t records <> None
 
+(* The streaming scan: the monitor rides the runner's fold and stops the
+   machine at the first firing, so nothing after it is simulated and no
+   trace is kept. [run_ns] is not observed here — the interval would
+   time the simulator, not the monitor. *)
+let first_firing_live ?ignore ?config t machine =
+  let ignore = check_mask t ignore in
+  let c = cursor t in
+  let nrecords = ref 0 and nevals = ref 0 in
+  let found, _ =
+    Trace.Runner.run_fold ?config ~stop:Option.is_some ~init:None
+      ~f:(fun _ record ->
+          let step = !nrecords in
+          incr nrecords;
+          first_in c ~ignore ~nevals step record)
+      machine
+  in
+  Obs.Metrics.add c_records !nrecords;
+  Obs.Metrics.add c_evals !nevals;
+  found
+
+let mark_fired c fired (record : Trace.Record.t) =
+  Array.iter
+    (fun slot ->
+       if not fired.(slot.s_index) && slot.s_violated record then
+         fired.(slot.s_index) <- true)
+    (batch_for c record.Trace.Record.point)
+
 let fired_set t records =
-  let fired = Array.make (size t) false in
-  List.iter
-    (fun (record : Trace.Record.t) ->
-       let batch = batch_for t record.Trace.Record.point in
-       Array.iter
-         (fun slot ->
-            if not fired.(slot.s_index) && slot.s_violated record then
-              fired.(slot.s_index) <- true)
-         batch)
-    records;
+  let c = cursor t and fired = Array.make (size t) false in
+  List.iter (mark_fired c fired) records;
+  fired
+
+let fired_set_live ?config t machine =
+  let c = cursor t and fired = Array.make (size t) false in
+  ignore
+    (Trace.Runner.run_fold ?config ~init:()
+       ~f:(fun () record -> mark_fired c fired record)
+       machine);
   fired
 
 let fired_assertions t records =

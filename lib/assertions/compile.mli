@@ -8,6 +8,10 @@
     hits on physical equality. Monitor cost per retired instruction
     approaches a function call.
 
+    A compiled battery is immutable — the last-point cache belongs to
+    each scan — so one [t] may be shared by scans on several domains at
+    once.
+
     The interpretive {!Monitor} is the reference oracle: for any battery
     and trace, [run] returns exactly the firing list [Monitor.run]
     returns (same assertions, same steps, same order). That equality is
@@ -43,3 +47,26 @@ val fired_set : t -> Trace.Record.t list -> bool array
 
 val fired_assertions : t -> Trace.Record.t list -> Ovl.t list
 (** The distinct assertions that fired at least once, in battery order. *)
+
+(** {1 Live scans}
+
+    The monitor beside a running processor (§5.6): each scan drives a
+    prepared machine through {!Trace.Runner.run_fold} and checks every
+    fused record the moment it retires, so no trace is materialised.
+    The record sequence and step numbering are those of
+    {!Trace.Runner.capture} on the same machine and [config], so each
+    live scan answers exactly what its list version answers over the
+    captured trace. *)
+
+val first_firing_live :
+  ?ignore:bool array -> ?config:Trace.Runner.config -> t -> Cpu.Machine.t ->
+  Monitor.firing option
+(** {!first_firing} over the records the machine produces, ending the
+    run at the first firing: nothing after it is simulated. Counts
+    records, evaluations and firings like {!first_firing}, but observes
+    no [monitor.compiled.run_ns] (the interval would time the
+    simulator). *)
+
+val fired_set_live :
+  ?config:Trace.Runner.config -> t -> Cpu.Machine.t -> bool array
+(** {!fired_set} over the records of a whole run of the machine. *)

@@ -993,7 +993,14 @@ let infer ?(seed = 20170408) ?(alpha = 0.5) ~all_invariants
    of a trigger detects nothing, so each mutant must fire an assertion
    outside its trigger's clean-run set. The compiled monitor's
    short-circuit scan gives detection latency (in retired instructions)
-   for free. *)
+   for free.
+
+   Every run is a live scan: the monitor rides the simulator's fold, a
+   faulty run stops at its first firing, and no trace is kept. The
+   trigger pool and then the mutants fan out over [jobs] domains that
+   share the one immutable compiled battery; each mutant's tries run in
+   order inside its own task, and outcomes are gathered in mutant order,
+   so every answer is the same at any [jobs]. *)
 
 type mutant_outcome = {
   mutant : Bugs.Mutant.t;
@@ -1025,48 +1032,60 @@ type campaign = {
 }
 
 let campaign ?(seed = 42) ?(mutants = 200) ?(triggers = 48) ?(tries = 3)
-    ~sci () =
+    ?(jobs = Util.Parallel.default_jobs ()) ~sci () =
   let body () =
     let battery = Assertions.Ovl.of_invariants sci in
     let compiled = Assertions.Compile.compile battery in
-    (* Shared trigger pool: each clean trace and its fired-assertion mask
-       are captured once and reused across every mutant. *)
+    let config = Sci.Identify.trigger_config in
+    let parent = Obs.Span.current () in
+    let pmap f tasks =
+      Util.Parallel.map
+        ~wrap:(fun th -> Obs.Span.with_context parent th)
+        ~jobs f tasks
+    in
+    (* Shared trigger pool: each clean run's fired-assertion mask is
+       computed once and reused across every mutant. *)
     let pool =
-      Array.init triggers (fun index ->
-          let w = Fuzz.Gen.candidate ~seed ~index in
-          let clean = Sci.Identify.capture_trigger w in
-          let fired = Assertions.Compile.fired_set compiled clean in
-          (w, fired, Array.exists Fun.id fired))
+      pmap
+        (fun index ->
+           let w = Fuzz.Gen.candidate ~seed ~index in
+           let fired =
+             Assertions.Compile.fired_set_live ~config compiled
+               (Sci.Identify.trigger_machine w)
+           in
+           (w, fired, Array.exists Fun.id fired))
+        (Array.init triggers Fun.id)
     in
     let fp_trigger_count =
       Array.fold_left (fun n (_, _, fp) -> if fp then n + 1 else n) 0 pool
     in
+    let outcome (i, (m : Bugs.Mutant.t)) =
+      let rec attempt j =
+        let w, clean_fired, _ = pool.((i + (j * 17)) mod triggers) in
+        if j >= tries then
+          { mutant = m; trigger = w.Workloads.Rt.name;
+            detected = false; latency = -1; assertion = None }
+        else
+          match
+            Assertions.Compile.first_firing_live ~ignore:clean_fired ~config
+              compiled
+              (Sci.Identify.trigger_machine ~fault:m.Bugs.Mutant.fault w)
+          with
+          | Some f ->
+            { mutant = m; trigger = w.Workloads.Rt.name;
+              detected = true; latency = f.Assertions.Monitor.step;
+              assertion =
+                Some f.Assertions.Monitor.assertion.Assertions.Ovl.name }
+          | None -> attempt (j + 1)
+      in
+      attempt 0
+    in
     let outcomes =
-      List.mapi
-        (fun i (m : Bugs.Mutant.t) ->
-           let rec attempt j =
-             let w, clean_fired, _ = pool.((i + (j * 17)) mod triggers) in
-             if j >= tries then
-               { mutant = m; trigger = w.Workloads.Rt.name;
-                 detected = false; latency = -1; assertion = None }
-             else begin
-               let buggy =
-                 Sci.Identify.capture_trigger ~fault:m.Bugs.Mutant.fault w
-               in
-               match
-                 Assertions.Compile.first_firing ~ignore:clean_fired
-                   compiled buggy
-               with
-               | Some f ->
-                 { mutant = m; trigger = w.Workloads.Rt.name;
-                   detected = true; latency = f.Assertions.Monitor.step;
-                   assertion =
-                     Some f.Assertions.Monitor.assertion.Assertions.Ovl.name }
-               | None -> attempt (j + 1)
-             end
-           in
-           attempt 0)
-        (Bugs.Mutant.generate ~seed ~count:mutants)
+      Bugs.Mutant.generate ~seed ~count:mutants
+      |> List.mapi (fun i m -> (i, m))
+      |> Array.of_list
+      |> pmap outcome
+      |> Array.to_list
     in
     let classes =
       List.map
@@ -1126,7 +1145,8 @@ let campaign ?(seed = 42) ?(mutants = 200) ?(triggers = 48) ?(tries = 3)
   let r, camp_seconds =
     Obs.Span.timed ~name:"pipeline.campaign"
       ~attrs:[ ("mutants", Obs.Sink.I mutants);
-               ("triggers", Obs.Sink.I triggers) ]
+               ("triggers", Obs.Sink.I triggers);
+               ("jobs", Obs.Sink.I jobs) ]
       body
   in
   Obs.Metrics.set

@@ -333,10 +333,16 @@ type campaign = {
 }
 
 val campaign :
-  ?seed:int -> ?mutants:int -> ?triggers:int -> ?tries:int ->
+  ?seed:int -> ?mutants:int -> ?triggers:int -> ?tries:int -> ?jobs:int ->
   sci:Invariant.Expr.t list -> unit -> campaign
-(** Compile the SCI battery once, capture a pool of [triggers]
-    fuzz-generated clean traces and their fired-assertion masks once,
+(** Compile the SCI battery once, run a pool of [triggers]
+    fuzz-generated clean programs once for their fired-assertion masks,
     then give each of [mutants] generated faults up to [tries] triggers
     to fire an assertion outside the trigger's clean-run set (the §5.6
-    discounting discipline). Deterministic per [seed]. *)
+    discounting discipline). Every run is a live monitor scan
+    ({!Assertions.Compile.first_firing_live}): a faulty run stops at its
+    first firing and no trace is kept. The pool and the mutants run on
+    [jobs] domains (default {!Util.Parallel.default_jobs}) sharing the
+    compiled battery; outcomes are gathered in mutant order, so every
+    field but [camp_seconds] is a function of [seed], [mutants],
+    [triggers], [tries] and [sci] alone, whatever [jobs] is. *)

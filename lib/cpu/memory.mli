@@ -1,7 +1,9 @@
-(** Flat big-endian memory with two regions mirroring the OR1200 SoC of
-    the paper's evaluation platform: on-chip SRAM at the bottom of the
+(** Big-endian memory with two regions mirroring the OR1200 SoC of the
+    paper's evaluation platform: on-chip SRAM at the bottom of the
     address space and SDRAM above it (the distinction matters to bug
-    b14). *)
+    b14). Storage is paged and zero-on-demand: a {!page_size} page gets
+    bytes of its own on its first write, and untouched pages read as
+    0. *)
 
 type t
 
@@ -13,8 +15,14 @@ type region = Sram | Sdram
 
 val region_of : int -> region
 
+val page_size : int
+(** 4 KiB. *)
+
 val create : ?size:int -> unit -> t
-(** Zero-filled memory; [size] defaults to 2 MiB. *)
+(** Memory of [size] bytes (default 2 MiB) that reads as all zeroes.
+    Allocates no page: creation costs one pointer per page. [size] need
+    not be a multiple of {!page_size}; accesses are bounded by [size]
+    itself. *)
 
 exception Bus_error of int
 (** Raised with the offending address on out-of-bounds access. *)

@@ -1154,6 +1154,17 @@ let decode_pair r =
   let scale_ij = Util.Binio.read_uint r in
   let scale_ji = Util.Binio.read_uint r in
   let scale_nonzero = Util.Binio.read_uint r in
+  (* Only state [encode_pair] could have written: anything wider would
+     spill into the neighbouring fields of the packed layout ([rel] into
+     the [f_diff]/[f_scale] flag bits, [scale_ji] into [scale_ij], the
+     support count off the top of [pscale]) and re-encode to different
+     bytes. *)
+  if rel > f_rel then raise (Corrupt_snapshot "pair relation out of range");
+  if scale_ij > full_scale_mask || scale_ji > full_scale_mask then
+    raise (Corrupt_snapshot "pair scale mask out of range");
+  if scale_nonzero > max_int lsr 12
+  || (scale_ij = 0 && scale_ji = 0 && scale_nonzero <> 0) then
+    raise (Corrupt_snapshot "pair scale support out of range");
   { pi; pj; policy; rel; diff; diff_live; scale_ij; scale_ji;
     scale_nonzero }
 

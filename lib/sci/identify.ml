@@ -20,13 +20,19 @@ type report = {
   detected : bool;                (* some SCI is violated by the buggy run *)
 }
 
+let trigger_config =
+  { Trace.Runner.default_config with max_steps = trigger_max_steps }
+
+let trigger_machine ?(fault = Cpu.Fault.none) (trigger : Workloads.Rt.t) =
+  let machine = Cpu.Machine.create ~fault ~tick_period:trigger.tick_period () in
+  Cpu.Machine.load_image machine trigger.image;
+  Cpu.Machine.set_pc machine trigger.entry;
+  machine
+
 let capture_trigger ?(fault = Cpu.Fault.none) (trigger : Workloads.Rt.t) =
-  let config =
-    { Trace.Runner.default_config with max_steps = trigger_max_steps }
-  in
   let records, _outcome =
-    Trace.Runner.capture ~config ~fault ~tick_period:trigger.tick_period
-      ~entry:trigger.entry trigger.image
+    Trace.Runner.capture ~config:trigger_config ~fault
+      ~tick_period:trigger.tick_period ~entry:trigger.entry trigger.image
   in
   records
 

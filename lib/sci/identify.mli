@@ -19,9 +19,18 @@ type report = {
   detected : bool;  (** some SCI is violated by the buggy run *)
 }
 
+val trigger_config : Trace.Runner.config
+(** The runner configuration of every trigger run: the default with
+    {!trigger_max_steps}. *)
+
+val trigger_machine : ?fault:Cpu.Fault.t -> Workloads.Rt.t -> Cpu.Machine.t
+(** A fresh machine with the trigger loaded, ready to run under
+    {!trigger_config} — what the live monitor scans drive. *)
+
 val capture_trigger :
   ?fault:Cpu.Fault.t -> Workloads.Rt.t -> Trace.Record.t list
-(** The (step-capped) trace of a trigger program. *)
+(** The (step-capped) trace of a trigger program: the records of
+    {!trigger_machine} run under {!trigger_config}. *)
 
 val run : index:Checker.index -> Bugs.Registry.t -> report
 

@@ -11,12 +11,15 @@ module Pipeline = Scifinder_core.Pipeline
 type t = {
   name : string;
   ps : Pipeline.Session.t;
-  mutable last_active : float;  (* Obs.Clock.now_s at last request *)
+  mine_jobs : int;
+  mutable last_active : float;
+      (* Obs.Clock.now_s when a request last arrived or a job finished *)
 }
 
 let create ?cache_dir ~mine_jobs name =
   { name;
     ps = Pipeline.Session.create ~jobs:mine_jobs ?cache_dir ();
+    mine_jobs;
     last_active = Obs.Clock.now_s () }
 
 let name t = t.name
@@ -131,7 +134,10 @@ let execute_exn t ~id (req : Proto.request) : Proto.response =
           Bugs.Table1.all
       in
       let sci = ident.Pipeline.summary.Sci.Identify.unique_sci in
-      let c = Pipeline.campaign ~seed ~mutants ~triggers ~tries ~sci () in
+      let c =
+        Pipeline.campaign ~seed ~mutants ~triggers ~tries ~jobs:t.mine_jobs
+          ~sci ()
+      in
       Proto.Campaigned
         { id;
           mutants = c.Pipeline.mutant_total;
@@ -148,8 +154,12 @@ let execute_exn t ~id (req : Proto.request) : Proto.response =
     (* Control requests are answered inline by the server loop. *)
     fail id "control request cannot be scheduled"
 
+(* The idle clock restarts when the job starts and again when it ends:
+   a job that outlasts the idle timeout must not leave its session to
+   be evicted before the client's next request. *)
 let execute t ~id req =
   touch t;
+  Fun.protect ~finally:(fun () -> touch t) @@ fun () ->
   match execute_exn t ~id req with
   | r -> r
   | exception Invariant.Io.Parse_error (m, line) ->

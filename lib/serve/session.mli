@@ -10,7 +10,9 @@ val create : ?cache_dir:string -> mine_jobs:int -> string -> t
     with no cache is the byte-identity reference configuration).
     [mine_jobs] also shards lake replays ([Proto.Lake] mines) into
     byte-balanced block spans; the merged engine — and the digest the
-    response reports — is byte-identical to a sequential replay. *)
+    response reports — is byte-identical to a sequential replay — and
+    is the [jobs] of a [Proto.Campaign] request, whose answer is the
+    same at any [jobs]. *)
 
 val name : t -> string
 val records : t -> int
@@ -18,8 +20,10 @@ val sources : t -> int
 
 val touch : t -> unit
 val last_active : t -> float
-(** Monotonic seconds ({!Obs.Clock.now_s}) of the last {!touch} /
-    {!execute} — the idle-eviction clock. *)
+(** Monotonic seconds ({!Obs.Clock.now_s}) of the last {!touch} — the
+    idle-eviction clock. {!execute} touches the session when the job
+    starts and again when it finishes, so the clock measures the
+    client's silence, not the job's run time. *)
 
 val pipeline_session : t -> Scifinder_core.Pipeline.Session.t
 

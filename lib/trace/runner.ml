@@ -137,11 +137,12 @@ let c_dc_hit = Obs.Metrics.counter "cpu.decode_cache.hit"
 let c_dc_miss = Obs.Metrics.counter "cpu.decode_cache.miss"
 let c_dc_invalidate = Obs.Metrics.counter "cpu.decode_cache.invalidate"
 
+(* Registered eagerly: forcing a shared [lazy] from two domains at once
+   raises [CamlinternalLazy.Undefined], and runs start on pool domains. *)
 let exn_counters =
-  lazy
-    (List.map
-       (fun k -> Obs.Metrics.counter ("cpu.exn." ^ Isa.Spr.Vector.name k))
-       Isa.Spr.Vector.all)
+  List.map
+    (fun k -> Obs.Metrics.counter ("cpu.exn." ^ Isa.Spr.Vector.name k))
+    Isa.Spr.Vector.all
 
 let fold_machine_telemetry machine =
   let tel = machine.M.tel in
@@ -152,7 +153,7 @@ let fold_machine_telemetry machine =
     Obs.Metrics.set_max g_mem_high (float_of_int tel.M.mem_high_water);
   List.iteri
     (fun i c -> Obs.Metrics.add c tel.M.exn_entered.(i))
-    (Lazy.force exn_counters);
+    exn_counters;
   let dc_hits, dc_misses, dc_invalidates = M.decode_cache_stats machine in
   Obs.Metrics.add c_dc_hit dc_hits;
   Obs.Metrics.add c_dc_miss dc_misses;
@@ -169,8 +170,13 @@ let fold_machine_telemetry machine =
    to [pending] and the next snapshot goes to the other buffer. (The
    delay-slot's own exceptional record needs no copy at all: the PC
    triplet of the pre-state is overwritten by [build_record], so the
-   current buffer can be passed as is.) *)
-let run_fold ?(config = default_config) ~init ~f machine : _ * outcome =
+   current buffer can be passed as is.)
+
+   [stop] is asked after every folded record; once it says yes the run
+   ends there, before the next step, with [`Stopped]. *)
+let run_fold ?(config = default_config) ?stop ~init ~f machine
+  : _ * [ outcome | `Stopped ] =
+  let exception Stop in
   let mask_table = Record.create_mask_table () in
   let mask_config = config.mask_config in
   let buf_a = Array.make Var.dual_count 0 in
@@ -180,7 +186,10 @@ let run_fold ?(config = default_config) ~init ~f machine : _ * outcome =
   let acc = ref init in
   let emit ~pre ~head_ev ~exn_ev =
     acc := f !acc (build_record ~machine ~mask_table ~config:mask_config
-                     ~pre ~head_ev ~exn_ev)
+                     ~pre ~head_ev ~exn_ev);
+    match stop with
+    | Some stop when stop !acc -> raise_notrace Stop
+    | Some _ | None -> ()
   in
   let rec loop steps =
     if steps >= config.max_steps then begin
@@ -222,13 +231,15 @@ let run_fold ?(config = default_config) ~init ~f machine : _ * outcome =
            end)
     end
   in
-  let outcome = loop 0 in
+  let outcome = try loop 0 with Stop -> `Stopped in
   fold_machine_telemetry machine;
   (!acc, outcome)
 
 (* Execute [machine] until halt, feeding fused records to [observer]. *)
 let run ?config ~observer machine : outcome =
-  snd (run_fold ?config ~init:() ~f:(fun () r -> observer r) machine)
+  match run_fold ?config ~init:() ~f:(fun () r -> observer r) machine with
+  | (), ((`Halted _ | `Max_steps) as outcome) -> outcome
+  | (), `Stopped -> assert false (* no [stop] was given *)
 
 (* Convenience: run a fresh machine over an assembled program and return
    the captured records (used for trigger traces, which are small). *)

@@ -15,13 +15,19 @@ val default_config : config
 type outcome = [ `Halted of Cpu.Machine.halt_reason | `Max_steps ]
 
 val run_fold :
-  ?config:config -> init:'a -> f:('a -> Record.t -> 'a) -> Cpu.Machine.t ->
-  'a * outcome
+  ?config:config -> ?stop:('a -> bool) -> init:'a ->
+  f:('a -> Record.t -> 'a) -> Cpu.Machine.t -> 'a * [ outcome | `Stopped ]
 (** Drive a prepared machine, folding every fused record through [f] as
     it is produced — the primitive the other entry points wrap. The
     trace is never materialised and no per-record state is copied (the
     pre-state snapshot double-buffers across delay slots). The record
-    passed to [f] is freshly allocated and owned by the consumer. *)
+    passed to [f] is freshly allocated and owned by the consumer.
+
+    [stop acc] is asked after every record is folded; when it returns
+    [true] the run ends at once with [`Stopped]: no further instruction
+    retires and [f] sees no further record (not even a delay-slot record
+    still pending). The machine's telemetry is folded into the global
+    metrics on every outcome, a stopped run included. *)
 
 val run :
   ?config:config -> observer:(Record.t -> unit) -> Cpu.Machine.t -> outcome

@@ -277,24 +277,57 @@ let verify_frame (digest, payload) =
   payload
 
 (* Reusable decode buffers. A fresh decode allocates one [Var.total]
-   int row per record per block; across a multi-GB replay that is the
-   dominant allocation. A [scratch] lets one consumer (one domain)
-   recycle the rows block after block — safe only because the records
-   handed to the fold callback alias the scratch rows and are
-   invalidated by the next block, so scratch decoding is opt-in and
-   reserved for consumers that provably do not retain records (the
-   mining engine copies values at observation). *)
-type scratch = {
-  mutable srows : int array array;  (* recycled value rows *)
-  mutable sidx : int array;  (* recycled point-index column *)
+   int row per record; across a multi-GB replay that is the dominant
+   allocation. A [scratch] lets one consumer (one domain) recycle the
+   rows block after block — safe only because the records handed to the
+   fold callback alias the scratch rows and are invalidated by the next
+   block, so scratch decoding is opt-in and reserved for consumers that
+   provably do not retain records (the mining engine copies values at
+   observation). *)
+type scratch = { mutable srows : int array array (* recycled value rows *) }
+
+let scratch () = { srows = [||] }
+
+(* One fold's column buffers, reused block after block: the per-record
+   point indices and one slot per variable for a delta column. *)
+type columns = {
+  mutable cidx : int array;
+  cvals : int array array;
 }
 
-let scratch () = { srows = [||]; sidx = [||] }
+let columns () = { cidx = [||]; cvals = Array.make Var.total [||] }
 
-(* Decode a verified payload into a batch of records. Lengths are
-   bounded by the payload size before any allocation, so a hostile
-   count cannot balloon memory past the block it arrived in. *)
-let decode_payload ?scratch payload =
+let column_buffer cols c n =
+  if Array.length cols.cvals.(c) < n then cols.cvals.(c) <- Array.make n 0;
+  cols.cvals.(c)
+
+(* A verified, parsed block. Columns arrive one after another, but
+   records are built one at a time, when the fold reaches them: a row is
+   filled in one pass and handed on while it is in cache, and a fresh
+   row can die young instead of the whole block's rows being live (and
+   promoted) at once. The columns are grouped by how their values are
+   rebuilt. *)
+type block = {
+  b_workload : string;
+  b_n : int;
+  b_names : string array;
+  b_masks : Record.mask array;
+  b_idx : int array;
+  b_zero : int array;  (* non-post columns that are 0 in every record *)
+  b_const_cols : int array;  (* columns holding one value ... *)
+  b_const_vals : int array;  (* ... which is this one *)
+  b_delta_cols : int array;  (* non-post columns, values ... *)
+  b_delta_vals : int array array;  (* ... per record *)
+  b_mirrors : int array;  (* post columns equal to their pre in every record *)
+  b_post_cols : int array;  (* post columns, post - pre ... *)
+  b_post_vals : int array array;  (* ... per record *)
+}
+
+(* Parse a verified payload. Lengths are bounded by the payload size
+   before any allocation, so a hostile count cannot balloon memory past
+   the block it arrived in; every error surfaces here, before the fold
+   sees any record of the block. *)
+let decode_payload cols payload =
   try
     let r = Util.Binio.reader payload in
     let workload = Util.Binio.read_string r in
@@ -308,83 +341,108 @@ let decode_payload ?scratch payload =
       pnames.(j) <- Util.Binio.read_string r;
       pmasks.(j) <- read_mask r
     done;
-    let idx =
-      match scratch with
-      | None -> Array.make (max n 1) 0
-      | Some s ->
-        if Array.length s.sidx < n then s.sidx <- Array.make (max n 16) 0;
-        s.sidx
-    in
+    if Array.length cols.cidx < n then cols.cidx <- Array.make (max n 16) 0;
+    let idx = cols.cidx in
     for i = 0 to n - 1 do
       let j = Util.Binio.read_uint r in
       if j >= npoints then corrupt "point index out of range";
       idx.(i) <- j
     done;
-    (* With a scratch, rows carry the previous block's values, so the
-       zero-skip shortcuts below must write explicitly ([dirty]); a
-       fresh [Array.make] row arrives zeroed and can skip them. *)
-    let dirty = scratch <> None in
-    let values =
-      match scratch with
-      | None -> Array.init n (fun _ -> Array.make Var.total 0)
-      | Some s ->
-        if Array.length s.srows < n then begin
-          let old = s.srows in
-          s.srows <-
-            Array.init (max n 16) (fun i ->
-                if i < Array.length old then old.(i)
-                else Array.make Var.total 0)
-        end;
-        s.srows
-    in
+    let zero = ref [] and consts = ref [] and deltas = ref []
+    and mirrors = ref [] and post_deltas = ref [] in
     if n > 0 then
       for c = 0 to Var.total - 1 do
         match Util.Binio.read_uint r with
         | t when t = tag_zero ->
-          (* Untouched column: a fresh row already holds it; a post
-             column mirrors its (already decoded) pre. *)
-          if post_dual c then
-            for i = 0 to n - 1 do
-              let v = values.(i) in
-              v.(c) <- v.(c - Var.dual_count)
-            done
-          else if dirty then
-            for i = 0 to n - 1 do
-              values.(i).(c) <- 0
-            done
+          if post_dual c then mirrors := c :: !mirrors
+          else zero := c :: !zero
         | t when t = tag_const ->
-          let x = Util.Binio.read_int r in
-          if x <> 0 || dirty then
-            for i = 0 to n - 1 do
-              values.(i).(c) <- x
-            done
+          consts := (c, Util.Binio.read_int r) :: !consts
         | t when t = tag_deltas ->
-          if post_dual c then
-            for i = 0 to n - 1 do
-              let v = values.(i) in
-              v.(c) <- v.(c - Var.dual_count) + Util.Binio.read_int r
-            done
+          let col = column_buffer cols c n in
+          for i = 0 to n - 1 do
+            col.(i) <- Util.Binio.read_int r
+          done;
+          if post_dual c then post_deltas := (c, col) :: !post_deltas
           else begin
-            let prev = ref 0 in
-            for i = 0 to n - 1 do
-              let x = !prev + Util.Binio.read_int r in
-              values.(i).(c) <- x;
-              prev := x
-            done
+            for i = 1 to n - 1 do
+              col.(i) <- col.(i - 1) + col.(i)
+            done;
+            deltas := (c, col) :: !deltas
           end
         | t -> corrupt "unknown column tag %d" t
       done;
     if not (Util.Binio.eof r) then corrupt "trailing bytes in block";
-    let records =
-      Array.init n (fun i ->
-          {
-            Record.point = pnames.(idx.(i));
-            values = values.(i);
-            mask = pmasks.(idx.(i));
-          })
-    in
-    (workload, records)
+    let firsts l = Array.of_list (List.rev_map fst l)
+    and seconds l = Array.of_list (List.rev_map snd l) in
+    { b_workload = workload; b_n = n; b_names = pnames; b_masks = pmasks;
+      b_idx = idx;
+      b_zero = Array.of_list (List.rev !zero);
+      b_const_cols = firsts !consts; b_const_vals = seconds !consts;
+      b_delta_cols = firsts !deltas; b_delta_vals = seconds !deltas;
+      b_mirrors = Array.of_list (List.rev !mirrors);
+      b_post_cols = firsts !post_deltas; b_post_vals = seconds !post_deltas }
   with Util.Binio.Truncated -> corrupt "truncated block"
+
+(* Fill [v] with record [i]'s values: every non-post column first, then
+   the post columns, which read their pre-state. A fresh row arrives
+   zeroed; a recycled one ([dirty]) still holds an older record, so its
+   all-zero columns are written too. *)
+let fill_row b ~dirty v i =
+  if dirty then Array.iter (fun c -> v.(c) <- 0) b.b_zero;
+  let cols = b.b_const_cols and vals = b.b_const_vals in
+  for k = 0 to Array.length cols - 1 do
+    v.(cols.(k)) <- vals.(k)
+  done;
+  let cols = b.b_delta_cols and vals = b.b_delta_vals in
+  for k = 0 to Array.length cols - 1 do
+    v.(cols.(k)) <- vals.(k).(i)
+  done;
+  let d = Var.dual_count in
+  let cols = b.b_mirrors in
+  for k = 0 to Array.length cols - 1 do
+    let c = cols.(k) in
+    v.(c) <- v.(c - d)
+  done;
+  let cols = b.b_post_cols and vals = b.b_post_vals in
+  for k = 0 to Array.length cols - 1 do
+    let c = cols.(k) in
+    v.(c) <- v.(c - d) + vals.(k).(i)
+  done
+
+(* Fold the block's records through [f], building each as it is
+   reached. *)
+let fold_block ?scratch b ~init ~f =
+  let rows =
+    match scratch with
+    | None -> None
+    | Some s ->
+      if Array.length s.srows < b.b_n then begin
+        let old = s.srows in
+        s.srows <-
+          Array.init (max b.b_n 16) (fun i ->
+              if i < Array.length old then old.(i)
+              else Array.make Var.total 0)
+      end;
+      Some s.srows
+  in
+  let acc = ref init in
+  for i = 0 to b.b_n - 1 do
+    let values =
+      match rows with
+      | None ->
+        let v = Array.make Var.total 0 in
+        fill_row b ~dirty:false v i;
+        v
+      | Some rows ->
+        let v = rows.(i) in
+        fill_row b ~dirty:true v i;
+        v
+    in
+    let j = b.b_idx.(i) in
+    acc := f !acc { Record.point = b.b_names.(j); values; mask = b.b_masks.(j) }
+  done;
+  !acc
 
 type info = {
   records : int;
@@ -506,19 +564,20 @@ let fold_range ?(on_workload = fun (_ : string) -> ()) ?(read_ahead = false)
        let blocks = ref 0 in
        let bytes = ref 0 in
        let workloads = ref [] in
+       let cols = columns () in
        let consume (_, payload as frame) =
          let payload_len = String.length payload in
          ignore (verify_frame frame : string);
-         let workload, batch = decode_payload ?scratch payload in
-         if not (List.mem workload !workloads) then
-           workloads := workload :: !workloads;
-         on_workload workload;
-         Array.iter (fun r -> acc := f !acc r) batch;
-         records := !records + Array.length batch;
+         let b = decode_payload cols payload in
+         if not (List.mem b.b_workload !workloads) then
+           workloads := b.b_workload :: !workloads;
+         on_workload b.b_workload;
+         acc := fold_block ?scratch b ~init:!acc ~f;
+         records := !records + b.b_n;
          blocks := !blocks + 1;
          bytes := !bytes + header_len + payload_len;
          Obs.Metrics.incr c_blocks_read;
-         Obs.Metrics.add c_records_read (Array.length batch)
+         Obs.Metrics.add c_records_read b.b_n
        in
        let budget = last_block - first_block in
        if !skipped = first_block && budget > 0 then

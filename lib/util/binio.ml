@@ -66,28 +66,44 @@ let read_byte r =
    as hostile input instead. *)
 let uint_value_bits = Sys.int_size - 1
 
+(* Top-level rather than a local [let rec] over [r]: a local closure
+   would be allocated on every call, and varints are the codecs' hot
+   path (several per decoded record). *)
+let rec read_uint_from r shift acc =
+  let c = read_byte r in
+  if c land 0x80 = 0 then begin
+    (* Final byte. Two hostile shapes to reject: a zero final byte
+       after a continuation (non-canonical padding, e.g. 0x80 0x00 as an
+       overlong encoding of 0 — the writer never emits it, and accepting
+       it would let one value have many encodings), and bits that land
+       on or past the sign bit. *)
+    if shift > 0 && c = 0 then raise Truncated;
+    if shift > uint_value_bits - 7 && c lsr (uint_value_bits - shift) <> 0
+    then raise Truncated;
+    acc lor (c lsl shift)
+  end
+  else begin
+    (* A continuation here would put the next byte entirely past the
+       value bits; no canonical encoding continues this far. *)
+    if shift + 7 >= uint_value_bits then raise Truncated;
+    read_uint_from r (shift + 7) (acc lor ((c land 0x7F) lsl shift))
+  end
+
+(* Most varints in a segment or snapshot are one byte (small deltas and
+   counts). That byte is a complete canonical encoding and passes every
+   check above, so it is decoded in place; longer ones take the full
+   path. *)
 let read_uint r =
-  let rec go shift acc =
-    let c = read_byte r in
-    if c land 0x80 = 0 then begin
-      (* Final byte. Two hostile shapes to reject: a zero final byte
-         after a continuation (non-canonical padding, e.g. 0x80 0x00 as
-         an overlong encoding of 0 — the writer never emits it, and
-         accepting it would let one value have many encodings), and bits
-         that land on or past the sign bit. *)
-      if shift > 0 && c = 0 then raise Truncated;
-      if shift > uint_value_bits - 7 && c lsr (uint_value_bits - shift) <> 0
-      then raise Truncated;
-      acc lor (c lsl shift)
+  let pos = r.pos in
+  if pos < String.length r.data then begin
+    let c = Char.code (String.unsafe_get r.data pos) in
+    if c < 0x80 then begin
+      r.pos <- pos + 1;
+      c
     end
-    else begin
-      (* A continuation here would put the next byte entirely past the
-         value bits; no canonical encoding continues this far. *)
-      if shift + 7 >= uint_value_bits then raise Truncated;
-      go (shift + 7) (acc lor ((c land 0x7F) lsl shift))
-    end
-  in
-  go 0 0
+    else read_uint_from r 0 0
+  end
+  else raise Truncated
 
 let read_int r =
   let v = read_uint r in

@@ -206,6 +206,44 @@ let test_compile_covers_grammar () =
   Alcotest.(check bool) "all-masked is silent" false
     (Assertions.Compile.detects ~ignore:all compiled trace)
 
+(* One compiled battery shared by two domains scanning at once must
+   answer exactly as a lone sequential scan does. Each point's one
+   assertion holds on its own records and fails on every other point's,
+   and the trace switches point at every record: a dispatch cache shared
+   between the scans pairs one point's name with another point's batch
+   within a few million records, and something fires. *)
+let test_shared_battery_two_domains () =
+  let points = [| "l.add"; "l.sub"; "l.and"; "l.or" |] in
+  let compiled =
+    Assertions.Compile.compile
+      (Ovl.of_invariants
+         (Array.to_list
+            (Array.mapi
+               (fun i point ->
+                  inv ~point (Expr.Cmp (Expr.Eq, Expr.V 0, Expr.Imm i)))
+               points)))
+  in
+  let trace =
+    List.init 4096 (fun k ->
+        let i = k mod Array.length points in
+        record ~point:points.(i) [ (0, i) ])
+  in
+  let silent = Array.make (Array.length points) false in
+  Alcotest.(check bool) "sequential scan is silent" true
+    (Assertions.Compile.fired_set compiled trace = silent);
+  let scan () =
+    let ok = ref true in
+    for _ = 1 to 2000 do
+      if Assertions.Compile.fired_set compiled trace <> silent then ok := false
+    done;
+    !ok
+  in
+  let other = Domain.spawn scan in
+  let here = scan () in
+  let there = Domain.join other in
+  Alcotest.(check (pair bool bool)) "both domains match the sequential scan"
+    (true, true) (here, there)
+
 (* QCheck: over random batteries and random traces, the compiled monitor
    reproduces the oracle's (assertion, step) firing sequence exactly. *)
 let qcheck_compiled_equals_interpretive =
@@ -381,7 +419,9 @@ let () =
       ("compile",
        [ Alcotest.test_case "grammar coverage" `Quick
            test_compile_covers_grammar;
-         QCheck_alcotest.to_alcotest qcheck_compiled_equals_interpretive ]);
+         QCheck_alcotest.to_alcotest qcheck_compiled_equals_interpretive;
+         Alcotest.test_case "shared battery on two domains" `Quick
+           test_shared_battery_two_domains ]);
       ("verilog",
        [ Alcotest.test_case "structure" `Quick test_verilog_structure;
          Alcotest.test_case "fire polarity" `Quick test_verilog_fire_polarity;

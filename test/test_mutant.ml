@@ -165,6 +165,67 @@ let test_campaign_deterministic () =
   Alcotest.(check int) "detected totals agree" c1.Pipeline.detected_total
     c2.Pipeline.detected_total
 
+(* ---- live scans: the monitor riding the simulator ---- *)
+
+let firing_key = function
+  | None -> None
+  | Some (f : Assertions.Monitor.firing) ->
+    Some (f.assertion.Assertions.Ovl.name, f.Assertions.Monitor.step)
+
+(* For (mutant, trigger) pairs, with and without the trigger's clean-run
+   mask: the early-exit live scan finds the same first firing (assertion
+   and step) as the list scan over the whole captured trace, and the
+   live fired set equals the list one. *)
+let qcheck_live_equals_list =
+  let compiled = lazy (Assertions.Compile.compile (Lazy.force mined_battery)) in
+  let muts = lazy (Array.of_list (Mutant.generate ~seed:5 ~count:40)) in
+  let config = Sci.Identify.trigger_config in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:60 ~name:"live first firing == list first firing"
+       QCheck.(triple (int_bound 39) (int_bound 23) bool)
+       (fun (mi, ti, masked) ->
+          let compiled = Lazy.force compiled in
+          let m = (Lazy.force muts).(mi) in
+          let w = Fuzz.Gen.candidate ~seed:5 ~index:ti in
+          let clean = Sci.Identify.capture_trigger w in
+          let clean_fired = Assertions.Compile.fired_set compiled clean in
+          let live_fired =
+            Assertions.Compile.fired_set_live ~config compiled
+              (Sci.Identify.trigger_machine w)
+          in
+          let ignore = if masked then Some clean_fired else None in
+          let listed =
+            Assertions.Compile.first_firing ?ignore compiled
+              (Sci.Identify.capture_trigger ~fault:m.Mutant.fault w)
+          and live =
+            Assertions.Compile.first_firing_live ?ignore ~config compiled
+              (Sci.Identify.trigger_machine ~fault:m.Mutant.fault w)
+          in
+          live_fired = clean_fired && firing_key live = firing_key listed))
+
+(* The full-size campaign over the identified SCI battery, as
+   [scifinder campaign] runs it: its pinned answer must not depend on
+   the number of domains. *)
+let test_campaign_pinned_any_jobs () =
+  let invariants = Pipeline.mine_invariants ~jobs:2 () in
+  let opt = Pipeline.optimize invariants in
+  let ident =
+    Pipeline.identify
+      ~invariants:opt.Pipeline.result.Invopt.Pipeline.optimized
+      Bugs.Table1.all
+  in
+  let sci = ident.Pipeline.summary.Sci.Identify.unique_sci in
+  List.iter
+    (fun jobs ->
+       let c = Pipeline.campaign ~jobs ~sci () in
+       Alcotest.(check string)
+         (Printf.sprintf "fingerprint at jobs=%d" jobs)
+         "05410b8b9e7cbc6ba762f03d9bf0159d" c.Pipeline.fingerprint;
+       Alcotest.(check (pair int int))
+         (Printf.sprintf "detected at jobs=%d" jobs)
+         (72, 200) (c.Pipeline.detected_total, c.Pipeline.mutant_total))
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "mutant"
     [ ("generate",
@@ -181,4 +242,8 @@ let () =
        [ Alcotest.test_case "compiled == interpretive on mutants" `Quick
            test_compiled_matches_on_mutant_traces;
          Alcotest.test_case "deterministic" `Quick
-           test_campaign_deterministic ]) ]
+           test_campaign_deterministic;
+         Alcotest.test_case "pinned answer at jobs 1 and 2" `Quick
+           test_campaign_pinned_any_jobs ]);
+      ("live",
+       [ qcheck_live_equals_list ]) ]

@@ -683,6 +683,38 @@ let test_server_sessions_and_eviction () =
          Alcotest.(check bool) "evictions counted" true (evicted >= 2)
        | r -> Alcotest.failf "status: %s" (Serve.Proto.encode_response r)))
 
+(* The idle clock measures the client's silence, not the job's run time:
+   a job that runs longer than the idle timeout must not leave its
+   session to be evicted before the client's next request. The client
+   pauses for longer than one eviction tick (the loop's 0.25 s select)
+   but well under the timeout; counted from the job's start, job plus
+   pause exceed the timeout. *)
+let test_long_job_keeps_session () =
+  let timeout = 1.0 and pause = 0.4 in
+  with_server ~idle_timeout:timeout (fun path ->
+      let c = Serve.Client.connect_unix path in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () ->
+          let names =
+            List.map (fun (w : Workloads.Rt.t) -> w.name) Workloads.Suite.all
+          in
+          let names = names @ names in
+          let t0 = Unix.gettimeofday () in
+          let first =
+            match Serve.Client.call c ~session:"long" (mine_names ~row:false names) with
+            | Serve.Proto.Mined { records; _ } -> records
+            | r -> Alcotest.failf "long mine: %s" (Serve.Proto.encode_response r)
+          in
+          let took = Unix.gettimeofday () -. t0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "job (%.2f s) and pause outlast the timeout" took)
+            true (took +. pause > timeout);
+          Unix.sleepf pause;
+          match Serve.Client.call c ~session:"long" (mine_names [ "pi" ]) with
+          | Serve.Proto.Mined { records; total_records; _ } ->
+            Alcotest.(check int) "the next request sees the earlier records"
+              (first + records) total_records
+          | r -> Alcotest.failf "next mine: %s" (Serve.Proto.encode_response r)))
+
 let test_server_snapshot_and_shutdown () =
   with_tmp_dir (fun snapdir ->
       with_server (fun path ->
@@ -788,6 +820,8 @@ let () =
            test_server_busy_and_cancel;
          Alcotest.test_case "sessions and eviction" `Quick
            test_server_sessions_and_eviction;
+         Alcotest.test_case "long job keeps its session" `Quick
+           test_long_job_keeps_session;
          Alcotest.test_case "snapshot and shutdown" `Quick
            test_server_snapshot_and_shutdown ]);
       ("determinism",

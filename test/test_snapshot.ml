@@ -112,6 +112,103 @@ let test_stale () =
   expect_stale "future codec version" (fun () ->
       Engine.decode ~key:"the-key" (Bytes.to_string bumped))
 
+(* ---- hostile pair state ---- *)
+
+(* [data] with the first pair of its first point rewritten by [edit] and
+   the payload digest recomputed, so only the decoder's range checks
+   stand between the edited fields and the engine. [edit] receives and
+   returns (rel, scale_ij, scale_ji, scale_nonzero). The walk re-encodes
+   every field it reads, so the writer's length is the reader's offset
+   (the codec is canonical). *)
+let with_first_pair edit data =
+  let module B = Util.Binio in
+  let magic = String.sub data 0 8 in
+  let r = B.reader (String.sub data 8 (String.length data - 8)) in
+  let version = B.read_uint r in
+  let key = B.read_string r in
+  let _digest = B.read_string r in
+  let payload = B.read_string_exact r (B.read_uint r) in
+  let p = B.reader payload and w = B.writer () in
+  let uint () = let v = B.read_uint p in B.write_uint w v; v in
+  let int () = let v = B.read_int p in B.write_int w v; v in
+  for _ = 1 to 8 do ignore (uint ()) done;          (* config *)
+  ignore (uint ());                                 (* records *)
+  if uint () = 0 then Alcotest.fail "no points";
+  B.write_string w (B.read_string p);               (* point name *)
+  for _ = 1 to uint () do                           (* variables *)
+    ignore (uint ());
+    ignore (int ());
+    ignore (int ());
+    let nd = int () in
+    for _ = 1 to nd do ignore (int ()) done;
+    ignore (int ());
+    ignore (int ())
+  done;
+  if uint () = 0 then Alcotest.fail "first point has no pairs";
+  ignore (uint ());                                 (* pi *)
+  ignore (uint ());                                 (* pj *)
+  let rel = B.read_uint p in
+  let diff = B.read_int p in
+  let diff_live = B.read_bool p in
+  let ij = B.read_uint p in
+  let ji = B.read_uint p in
+  let nz = B.read_uint p in
+  let rel', ij', ji', nz' = edit (rel, ij, ji, nz) in
+  let tail = B.writer () in
+  B.write_uint tail rel;
+  B.write_int tail diff;
+  B.write_bool tail diff_live;
+  B.write_uint tail ij;
+  B.write_uint tail ji;
+  B.write_uint tail nz;
+  let consumed = String.length (B.contents w) + String.length (B.contents tail) in
+  B.write_uint w rel';
+  B.write_int w diff;
+  B.write_bool w diff_live;
+  B.write_uint w ij';
+  B.write_uint w ji';
+  B.write_uint w nz';
+  let payload =
+    B.contents w
+    ^ String.sub payload consumed (String.length payload - consumed)
+  in
+  let h = B.writer () in
+  B.write_raw h magic;
+  B.write_uint h version;
+  B.write_string h key;
+  B.write_string h (Digest.string payload);
+  B.write_uint h (String.length payload);
+  B.contents h ^ payload
+
+let test_pair_out_of_range () =
+  let data = Engine.encode (mined "helloworld") in
+  Alcotest.(check bool) "an unchanged rewrite round-trips" true
+    (String.equal data
+       (Engine.encode (Engine.decode (with_first_pair Fun.id data))));
+  let hostile msg edit = expect_corrupt msg (with_first_pair edit data) in
+  (* rel 8 and 24 would set the hot path's f_diff / f_scale flag bits;
+     256 used to escape as Invalid_argument "Char.chr". *)
+  List.iter
+    (fun rel ->
+       hostile (Printf.sprintf "rel %d" rel)
+         (fun (_, ij, ji, nz) -> (rel, ij, ji, nz)))
+    [ 8; 24; 256 ];
+  (* A mask above 0x3F would spill into the neighbouring packed field. *)
+  hostile "scale_ij 0x40" (fun (rel, _, ji, nz) -> (rel, 0x40, ji, nz));
+  hostile "scale_ji 0x40" (fun (rel, ij, _, nz) -> (rel, ij, 0x40, nz));
+  hostile "support count off the packed word" (fun (rel, _, ji, _) ->
+      (rel, 1, ji, max_int));
+  hostile "support count with both masks dead" (fun (rel, _, _, _) ->
+      (rel, 0, 0, 5))
+
+let write_file path data =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc data)
+
+let stale_count () =
+  Obs.Metrics.counter_value (Obs.Metrics.counter "mine.cache.stale")
+
 (* ---- the pipeline shard cache ---- *)
 
 let with_cache_dir f =
@@ -166,6 +263,22 @@ let test_cache_rejects_damage () =
       let s = List.map Expr.to_string in
       Alcotest.(check (list string)) "re-mined after truncation"
         (s cold) (s again))
+
+let test_cache_hostile_pair_is_stale () =
+  with_cache_dir (fun dir ->
+      let cold = Pipeline.mine_invariants ~jobs:1 ~cache_dir:dir ~names () in
+      (* A shard entry with a valid digest and key but a pair relation no
+         encoder writes: a damaged entry, so a stale miss and a re-mine,
+         never an exception out of the run. *)
+      let victim = Filename.concat dir "pi.snap" in
+      write_file victim
+        (with_first_pair (fun (_, ij, ji, nz) -> (256, ij, ji, nz))
+           (Util.Binio.read_file victim));
+      let before = stale_count () in
+      let again = Pipeline.mine_invariants ~jobs:1 ~cache_dir:dir ~names () in
+      Alcotest.(check int) "one stale entry" 1 (stale_count () - before);
+      let s = List.map Expr.to_string in
+      Alcotest.(check (list string)) "re-mined answer" (s cold) (s again))
 
 let test_cache_stale_config () =
   with_cache_dir (fun dir ->
@@ -275,11 +388,6 @@ let test_lake_cache_append_invalidates () =
 
 let summary_misses () =
   Obs.Metrics.counter_value (Obs.Metrics.counter "mine.cache.summary_miss")
-
-let write_file path data =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc data)
 
 (* The one result entry a cold run left in [dir]. *)
 let result_entry dir =
@@ -414,11 +522,15 @@ let () =
          Alcotest.test_case "merge after load" `Quick test_merge_after_load;
          Alcotest.test_case "save/load file" `Quick test_save_load_file;
          Alcotest.test_case "corrupt rejected" `Quick test_corrupt;
-         Alcotest.test_case "stale rejected" `Quick test_stale ]);
+         Alcotest.test_case "stale rejected" `Quick test_stale;
+         Alcotest.test_case "pair state out of range" `Quick
+           test_pair_out_of_range ]);
       ("pipeline cache",
        [ Alcotest.test_case "warm equals cold" `Quick test_cache_warm_equals_cold;
          Alcotest.test_case "full mine summary" `Quick test_cache_full_mine;
          Alcotest.test_case "damage re-mined" `Quick test_cache_rejects_damage;
+         Alcotest.test_case "hostile pair entry is stale" `Quick
+           test_cache_hostile_pair_is_stale;
          Alcotest.test_case "config fingerprint" `Quick test_cache_stale_config;
          Alcotest.test_case "slash-named workload contained" `Quick
            test_cache_slash_named_workload ]);

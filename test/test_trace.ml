@@ -196,6 +196,78 @@ let test_determinism () =
          (a.Rec.point = b.Rec.point && a.Rec.values = b.Rec.values))
     t1 t2
 
+(* ---- trace identity pin ---- *)
+
+(* One chained digest over every record (point, values, mask) and every
+   outcome of: the 17 workloads streamed under the default config, the
+   17 Table 1 bug triggers on their faulty processors, and eight fuzz
+   triggers each under a generated mutant. The constant was computed
+   before machine memory became paged; any change to what the simulator
+   and fuser emit (memory semantics included) moves it. *)
+let trace_identity_pin = "10fb753e9c1e60bcf33e67f340e1fdb7"
+
+let trace_identity () =
+  let h = ref (Digest.string "") and n = ref 0 in
+  let buf = Buffer.create 2048 in
+  let chain f =
+    Buffer.clear buf;
+    Buffer.add_string buf !h;
+    f buf;
+    h := Digest.string (Buffer.contents buf)
+  in
+  let record (r : Rec.t) =
+    incr n;
+    chain (fun b ->
+        Buffer.add_string b r.Rec.point;
+        Buffer.add_char b '|';
+        Array.iter
+          (fun v -> Buffer.add_string b (string_of_int v); Buffer.add_char b ',')
+          r.Rec.values;
+        Array.iter (fun m -> Buffer.add_char b (if m then '1' else '0'))
+          r.Rec.mask)
+  in
+  let outcome name o =
+    chain (fun b ->
+        Buffer.add_string b name;
+        Buffer.add_string b
+          (match o with
+           | `Halted Cpu.Machine.Exit -> "exit"
+           | `Halted Cpu.Machine.Stalled -> "stalled"
+           | `Halted Cpu.Machine.Double_fault -> "double fault"
+           | `Max_steps -> "max steps"))
+  in
+  List.iter
+    (fun (w : Workloads.Rt.t) ->
+       outcome w.name
+         (Trace.Runner.stream ~tick_period:w.tick_period ~entry:w.entry
+            ~observer:record w.image))
+    Workloads.Suite.all;
+  let faulty name fault (w : Workloads.Rt.t) =
+    let records, o =
+      Trace.Runner.capture
+        ~config:{ Trace.Runner.default_config with
+                  max_steps = Sci.Identify.trigger_max_steps }
+        ~fault
+        ~tick_period:w.tick_period ~entry:w.entry w.image
+    in
+    List.iter record records;
+    outcome name o
+  in
+  List.iter
+    (fun (b : Bugs.Registry.t) -> faulty b.id b.fault b.trigger)
+    Bugs.Table1.all;
+  List.iteri
+    (fun index (m : Bugs.Mutant.t) ->
+       faulty m.id m.fault (Fuzz.Gen.candidate ~seed:42 ~index))
+    (Bugs.Mutant.generate ~seed:42 ~count:8);
+  (Digest.to_hex !h, !n)
+
+let test_trace_identity () =
+  let digest, n = trace_identity () in
+  Alcotest.(check string)
+    (Printf.sprintf "digest over %d records" n)
+    trace_identity_pin digest
+
 let () =
   Alcotest.run "trace"
     [ ("records",
@@ -213,4 +285,7 @@ let () =
          Alcotest.test_case "ea_ref" `Quick test_ea_ref;
          Alcotest.test_case "spr vars" `Quick test_spr_vars;
          Alcotest.test_case "masks" `Quick test_mask_applicability;
-         Alcotest.test_case "determinism" `Quick test_determinism ]) ]
+         Alcotest.test_case "determinism" `Quick test_determinism ]);
+      ("identity",
+       [ Alcotest.test_case "record streams pinned" `Quick
+           test_trace_identity ]) ]
